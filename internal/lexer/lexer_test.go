@@ -1,6 +1,7 @@
 package lexer
 
 import (
+	"os"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -231,5 +232,23 @@ func TestPropertyKeywordsRoundTrip(t *testing.T) {
 			// mismatch is a real table bug.
 			t.Errorf("phrase %q lexed to %v, want [%v EOF]", phrase, kinds(toks), kind)
 		}
+	}
+}
+
+// TestScanAllAllocatesOnce: the token slice is presized from the source
+// length, so scanning a real program is a single allocation.
+func TestScanAllAllocatesOnce(t *testing.T) {
+	raw, err := os.ReadFile("../../testdata/nbody.lol")
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := string(raw)
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, errs := ScanAll("nbody.lol", src); len(errs) > 0 {
+			t.Fatal(errs[0])
+		}
+	})
+	if allocs != 1 {
+		t.Fatalf("ScanAll(nbody.lol) made %v allocations, want 1", allocs)
 	}
 }

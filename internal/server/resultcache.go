@@ -8,7 +8,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/backend"
 	"repro/internal/faultinject"
 	"repro/internal/obs"
 )
@@ -35,14 +34,13 @@ type ResultKey [sha256.Size]byte
 // wall-clock *approximation* — a result it produces near the budget
 // margin is not interchangeable with a metered in-process result, so
 // the two must never share a cache line.
-// sched is part of the key because the worker scheduler's deadlock
-// detector converts a deadlocked program's eventual timeout into an
-// immediate error: the two modes' responses differ for such programs,
-// so they must not share a cache line (successful outputs are identical,
-// but the key must cover every response-changing input).
+//
+// The scheduler mode is not part of the key: both modes produce the same
+// output and the same outcome, deadlocks included. A cached response's
+// stats describe the run that produced it, as its timing-dependent
+// counters already do.
 func resultKeyOf(prog Key, engine string, np int, seed int64,
-	steps int64, timeout time.Duration, stdin string, tierSalt string,
-	sched backend.SchedMode) ResultKey {
+	steps int64, timeout time.Duration, stdin string, tierSalt string) ResultKey {
 	h := sha256.New()
 	h.Write(prog[:])
 	var buf [8]byte
@@ -60,7 +58,6 @@ func resultKeyOf(prog Key, engine string, np int, seed int64,
 	writeU64(uint64(timeout))
 	writeU64(uint64(len(stdin)))
 	h.Write([]byte(stdin))
-	writeU64(uint64(sched))
 	var k ResultKey
 	h.Sum(k[:0])
 	return k

@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/backend"
 	"repro/internal/gogen"
 	"repro/internal/native"
 )
@@ -292,7 +291,7 @@ func TestFailedLeaderWakesWaiters(t *testing.T) {
 func TestResultKeyTierSalt(t *testing.T) {
 	prog := KeyOf(sumSrc(10))
 	at := func(salt string) ResultKey {
-		return resultKeyOf(prog, "compile", 2, 1, 1000, time.Second, "", salt, backend.SchedGoroutines)
+		return resultKeyOf(prog, "compile", 2, 1, 1000, time.Second, "", salt)
 	}
 	inProc := at("")
 	nativeV1 := at("native:gogen@g1")

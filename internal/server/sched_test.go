@@ -36,8 +36,11 @@ func TestRunSchedWorkers(t *testing.T) {
 		t.Fatalf("goroutine-mode run counted as a worker job: %+v", got)
 	}
 
+	// sched is not part of the result key, so the worker-mode request
+	// takes another seed (barrierLoopSrc never draws from the RNG) to
+	// execute rather than be answered from the first one's result.
 	resp := s.Run(context.Background(), RunRequest{
-		Src: barrierLoopSrc, NP: 8, Backend: "vm", Sched: "workers",
+		Src: barrierLoopSrc, NP: 8, Backend: "vm", Sched: "workers", Seed: 1,
 	})
 	if resp.Outcome != OutcomeOK {
 		t.Fatalf("worker-mode outcome %q (%s)", resp.Outcome, resp.Error)
@@ -45,10 +48,8 @@ func TestRunSchedWorkers(t *testing.T) {
 	if resp.Output != base.Output {
 		t.Errorf("worker-mode output diverged:\nworkers:    %q\ngoroutines: %q", resp.Output, base.Output)
 	}
-	// The two requests differ only in sched, so the second must have
-	// executed rather than been answered from the first one's result.
 	if resp.ResultCacheHit {
-		t.Error("worker-mode run answered from the goroutine-mode cache line")
+		t.Error("worker-mode run answered from the result cache")
 	}
 
 	st := s.Stats().Sched
@@ -65,5 +66,35 @@ func TestRunSchedWorkers(t *testing.T) {
 	bad := s.Run(context.Background(), RunRequest{Src: helloSrc, NP: 2, Sched: "fibers"})
 	if bad.Outcome != OutcomeRejected || !strings.Contains(bad.Error, "fibers") {
 		t.Errorf("bad sched value: outcome %q error %q, want rejection naming the value", bad.Outcome, bad.Error)
+	}
+}
+
+// halfHugzSrc deadlocks: only PE 0 reaches HUGZ, and PE 1 exits.
+const halfHugzSrc = `HAI 1.2
+BOTH SAEM ME AN 0, O RLY?
+YA RLY
+  HUGZ
+OIC
+KTHXBYE`
+
+// TestRunDeadlockSameInBothSchedModes: both scheduler modes detect the
+// deadlock at once, so a deadlocked job gets the same outcome and error
+// text whichever mode runs it — which is what lets sched stay out of
+// the result-cache key.
+func TestRunDeadlockSameInBothSchedModes(t *testing.T) {
+	s := New(Options{Workers: 2, MaxNP: 16})
+	defer s.Close()
+	var resps []RunResponse
+	for _, mode := range []string{"goroutines", "workers"} {
+		resp := s.Run(context.Background(), RunRequest{
+			Src: halfHugzSrc, NP: 2, Backend: "vm", Sched: mode, TimeoutMS: 3000,
+		})
+		if resp.Outcome != OutcomeRuntime || !strings.Contains(resp.Error, "deadlock") {
+			t.Fatalf("%s: outcome %q (%s), want a deadlock runtime_error", mode, resp.Outcome, resp.Error)
+		}
+		resps = append(resps, resp)
+	}
+	if resps[0].Error != resps[1].Error {
+		t.Errorf("error text differs by sched mode:\ngoroutines: %s\nworkers:    %s", resps[0].Error, resps[1].Error)
 	}
 }

@@ -409,7 +409,7 @@ func (s *Server) run(ctx context.Context, req RunRequest) RunResponse {
 	// deterministic is only known after the frontend runs, so a first
 	// sight claims the key optimistically and resolves the claim below.
 	rkey := resultKeyOf(key, coreBackend.String(), req.NP,
-		req.Seed, steps, timeout, req.Stdin, tierSalt, s.schedModeFor(req))
+		req.Seed, steps, timeout, req.Stdin, tierSalt)
 	qStart := time.Now()
 	cached, claim, err := s.results.acquire(ctx, rkey)
 	obs.FromContext(ctx).Record(stageResultCache, time.Since(qStart))
@@ -626,11 +626,9 @@ func (s *Server) validate(req *RunRequest) (RunResponse, bool) {
 }
 
 // schedModeFor resolves a job's scheduler mode: the request's explicit
-// choice (validated on admission) or the server default. It is part of
-// the result-cache key because the worker scheduler's exact deadlock
-// detector changes the *outcome* of a deadlocked program (immediate
-// runtime error vs goroutine mode's eventual timeout), even though
-// successful output bytes are identical across modes.
+// choice (validated on admission) or the server default. The mode is a
+// performance knob only — outputs and outcomes, deadlocks included, are
+// the same in both — so it is not part of the result-cache key.
 func (s *Server) schedModeFor(req RunRequest) backend.SchedMode {
 	if req.Sched != "" {
 		m, _ := backend.ParseSchedMode(req.Sched)

@@ -2,65 +2,38 @@ package shmem
 
 import "sync"
 
-// barrier is the internal collective-barrier interface. wait is the
-// goroutine-mode entry (blocks the caller); arrive is the scheduler-mode
-// entry (returns *Suspend instead of blocking, with the wait structure
-// unparking the task later). wake releases all waiters — blocked AND
-// parked — after a world failure so SPMD programs tear down instead of
-// deadlocking.
+// barrier is the internal collective-barrier interface. arrive registers
+// a PE's arrival: it returns nil when the PE may leave the barrier, or
+// the park request after queueing the task for an explicit unpark. wake
+// releases every queued task with ErrWorldFailed after a world failure,
+// so SPMD programs tear down instead of deadlocking.
 type barrier interface {
-	wait(pe int, w *World) error
 	arrive(t *peTask) error
 	wake()
 }
 
-// centralBarrier is a sense-reversing central barrier: a mutex-protected
-// arrival count plus a generation number broadcast over a condition
-// variable. Simple, fair enough, and O(n) wakeup — the teaching default.
+// centralBarrier is a central barrier: a mutex-protected arrival count
+// whose last arrival closes the episode and unparks everyone queued in
+// it. Simple, fair enough, and O(n) wakeup — the teaching default.
 //
-// Scheduler mode shares the arrival count: parked tasks are appended to
-// parked instead of waiting on cond, and the episode-closing arrival (or
-// wake) drains that list with explicit unparks. The sense-reversal
-// generation is preserved structurally — parked is emptied atomically
-// with the gen++ under mu, so a task parked in episode k can never be
-// woken by episode k+1's completion.
+// Each episode queues into parked[gen&1], and the closer empties that
+// queue atomically with gen++ under mu, so a task parked in episode k
+// can never be woken by episode k+1's completion. The closer drains its
+// queue after unlocking, and the two parity buffers make reusing the
+// backing arrays safe: episode k+2 (the next user of the closer's
+// buffer) cannot start until episode k+1 completes, which needs the
+// closer to have finished draining and arrived again.
 type centralBarrier struct {
 	mu      sync.Mutex
-	cond    *sync.Cond
 	n       int
 	arrived int
 	gen     uint64
 	broken  bool
-	parked  []*peTask
+	parked  [2][]*peTask
 }
 
 func newCentralBarrier(n int) *centralBarrier {
-	b := &centralBarrier{n: n}
-	b.cond = sync.NewCond(&b.mu)
-	return b
-}
-
-func (b *centralBarrier) wait(pe int, w *World) error {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.broken {
-		return ErrWorldFailed
-	}
-	gen := b.gen
-	b.arrived++
-	if b.arrived == b.n {
-		b.arrived = 0
-		b.gen++
-		b.cond.Broadcast()
-		return nil
-	}
-	for b.gen == gen && !b.broken {
-		b.cond.Wait()
-	}
-	if b.broken {
-		return ErrWorldFailed
-	}
-	return nil
+	return &centralBarrier{n: n}
 }
 
 func (b *centralBarrier) arrive(t *peTask) error {
@@ -69,35 +42,31 @@ func (b *centralBarrier) arrive(t *peTask) error {
 		b.mu.Unlock()
 		return ErrWorldFailed
 	}
+	q := &b.parked[b.gen&1]
 	b.arrived++
-	if b.arrived == b.n {
-		b.arrived = 0
-		b.gen++
-		woken := b.parked
-		b.parked = nil
-		// A world is scheduled or goroutine-per-PE, never both, but
-		// broadcasting is harmless and keeps wait/arrive composable.
-		b.cond.Broadcast()
+	if b.arrived < b.n {
+		*q = append(*q, t)
 		b.mu.Unlock()
-		for _, pt := range woken {
-			pt.sched.unpark(pt, nil, true)
-		}
-		return nil
+		return suspendPark
 	}
-	b.parked = append(b.parked, t)
+	woken := *q
+	*q = woken[:0]
+	b.arrived = 0
+	b.gen++
 	b.mu.Unlock()
-	return suspendPark
+	for _, pt := range woken {
+		pt.sched.unpark(pt, nil, true)
+	}
+	return nil
 }
 
 func (b *centralBarrier) wake() {
 	b.mu.Lock()
 	b.broken = true
-	woken := b.parked
-	b.parked = nil
-	b.cond.Broadcast()
+	// A fresh slice: a closer may still be draining one of the parity
+	// buffers' backing arrays.
+	woken := append(append([]*peTask(nil), b.parked[0]...), b.parked[1]...)
 	b.mu.Unlock()
-	// Parked waiters hold no goroutine to observe the broadcast; they
-	// must be unparked explicitly or a failing world strands them.
 	for _, pt := range woken {
 		pt.sched.unpark(pt, ErrWorldFailed, true)
 	}
@@ -105,134 +74,108 @@ func (b *centralBarrier) wake() {
 
 // disseminationBarrier runs ceil(log2 n) rounds; in round r, PE p sends a
 // token to PE (p + 2^r) mod n and receives one from PE (p - 2^r) mod n.
-// Token channels have capacity 2: a PE can be at most two barrier episodes
-// ahead of a partner (completing episode k+2 implies every PE entered it,
-// hence consumed its episode-k token), so two slots can never overflow.
-//
-// Scheduler mode replaces the channels with counters (ptokens) plus a
-// parked-task slot per (round, PE), all under one mutex, and keeps the
-// per-PE round cursor (pround/pdeposited) ON the barrier so it survives
-// park/resume: a task woken by a round token re-enters arrive and
-// continues from the round it parked in, not from round 0. The cap-2
-// skew argument bounds the counters exactly as it bounds the channels.
+// Tokens are counters (tokens) plus a parked-task slot per (round, PE),
+// all under one mutex. The per-PE round cursor (round/deposited) lives
+// ON the barrier so it survives park/resume: a task woken by a round
+// token re-enters arrive and continues from the round it parked in, not
+// from round 0. A PE can be at most two episodes ahead of a partner
+// (completing episode k+2 implies every PE entered it, hence consumed
+// its episode-k token), so a counter never exceeds 2.
 type disseminationBarrier struct {
 	n      int
 	rounds int
-	// ch[r][p] carries the token received by PE p in round r.
-	ch     [][]chan struct{}
-	failCh <-chan struct{}
 
-	// Scheduler-mode state, lazily initialized, all under pmu.
-	pmu        sync.Mutex
-	pbroken    bool
-	ptokens    [][]int     // ptokens[r][p]: undelivered round-r tokens for PE p
-	pwait      [][]*peTask // pwait[r][p]: task parked on its round-r token
-	pround     []int       // PE p's current round in its current episode
-	pdeposited []bool      // PE p already sent its pround[p] token
+	mu        sync.Mutex
+	broken    bool
+	tokens    [][]int     // tokens[r][p]: undelivered round-r tokens for PE p
+	waiting   [][]*peTask // waiting[r][p]: task parked on its round-r token
+	round     []int       // PE p's current round in its current episode
+	deposited []bool      // PE p already sent its round[p] token
 }
 
-func newDisseminationBarrier(n int, failCh <-chan struct{}) *disseminationBarrier {
+func newDisseminationBarrier(n int) *disseminationBarrier {
 	rounds := 0
 	for (1 << rounds) < n {
 		rounds++
 	}
-	b := &disseminationBarrier{n: n, rounds: rounds, failCh: failCh}
-	b.ch = make([][]chan struct{}, rounds)
+	b := &disseminationBarrier{
+		n:         n,
+		rounds:    rounds,
+		tokens:    make([][]int, rounds),
+		waiting:   make([][]*peTask, rounds),
+		round:     make([]int, n),
+		deposited: make([]bool, n),
+	}
 	for r := 0; r < rounds; r++ {
-		b.ch[r] = make([]chan struct{}, n)
-		for p := 0; p < n; p++ {
-			b.ch[r][p] = make(chan struct{}, 2)
-		}
+		b.tokens[r] = make([]int, n)
+		b.waiting[r] = make([]*peTask, n)
 	}
 	return b
 }
 
-func (b *disseminationBarrier) wait(pe int, w *World) error {
-	for r := 0; r < b.rounds; r++ {
-		to := (pe + (1 << r)) % b.n
-		select {
-		case b.ch[r][to] <- struct{}{}:
-		case <-b.failCh:
-			return ErrWorldFailed
-		}
-		select {
-		case <-b.ch[r][pe]:
-		case <-b.failCh:
-			return ErrWorldFailed
-		}
-	}
-	return nil
-}
-
 func (b *disseminationBarrier) arrive(t *peTask) error {
 	pe := t.pe.id
-	b.pmu.Lock()
-	if b.ptokens == nil {
-		b.ptokens = make([][]int, b.rounds)
-		b.pwait = make([][]*peTask, b.rounds)
-		for r := 0; r < b.rounds; r++ {
-			b.ptokens[r] = make([]int, b.n)
-			b.pwait[r] = make([]*peTask, b.n)
-		}
-		b.pround = make([]int, b.n)
-		b.pdeposited = make([]bool, b.n)
-	}
-	if b.pbroken {
-		b.pmu.Unlock()
+	b.mu.Lock()
+	if b.broken {
+		b.mu.Unlock()
 		return ErrWorldFailed
 	}
-	var wakes []*peTask
-	for b.pround[pe] < b.rounds {
-		r := b.pround[pe]
-		if !b.pdeposited[pe] {
+	// One arrival deposits at most one token per round, so it wakes at
+	// most `rounds` partners; the stack buffer covers any world that
+	// fits in memory without allocating.
+	var buf [32]*peTask
+	wakes := buf[:0]
+	parked := false
+	for b.round[pe] < b.rounds {
+		r := b.round[pe]
+		if !b.deposited[pe] {
 			to := (pe + (1 << r)) % b.n
-			b.ptokens[r][to]++
-			b.pdeposited[pe] = true
-			if wt := b.pwait[r][to]; wt != nil {
-				b.pwait[r][to] = nil
+			b.tokens[r][to]++
+			b.deposited[pe] = true
+			if wt := b.waiting[r][to]; wt != nil {
+				b.waiting[r][to] = nil
 				wakes = append(wakes, wt)
 			}
 		}
-		if b.ptokens[r][pe] > 0 {
-			b.ptokens[r][pe]--
-			b.pround[pe]++
-			b.pdeposited[pe] = false
-			continue
+		if b.tokens[r][pe] == 0 {
+			b.waiting[r][pe] = t
+			parked = true
+			break
 		}
-		b.pwait[r][pe] = t
-		b.pmu.Unlock()
-		// Intermediate wakes (done=false): the woken task re-enters
-		// arrive and resumes from its own pround cursor.
-		for _, wt := range wakes {
-			wt.sched.unpark(wt, nil, false)
-		}
-		return suspendPark
+		b.tokens[r][pe]--
+		b.round[pe]++
+		b.deposited[pe] = false
 	}
-	// Episode complete for this PE: reset its cursor for the next HUGZ.
-	b.pround[pe] = 0
-	b.pdeposited[pe] = false
-	b.pmu.Unlock()
+	if !parked {
+		// Episode complete for this PE: reset its cursor for the next
+		// HUGZ.
+		b.round[pe] = 0
+	}
+	b.mu.Unlock()
+	// Intermediate wakes (done=false): the woken task re-enters arrive
+	// and resumes from its own round cursor.
 	for _, wt := range wakes {
 		wt.sched.unpark(wt, nil, false)
+	}
+	if parked {
+		return suspendPark
 	}
 	return nil
 }
 
 func (b *disseminationBarrier) wake() {
-	// Goroutine-mode waiters select on failCh, which the world closes
-	// before calling wake. Parked tasks must be drained explicitly.
-	b.pmu.Lock()
-	b.pbroken = true
+	b.mu.Lock()
+	b.broken = true
 	var wakes []*peTask
-	for r := range b.pwait {
-		for p, t := range b.pwait[r] {
+	for r := range b.waiting {
+		for p, t := range b.waiting[r] {
 			if t != nil {
-				b.pwait[r][p] = nil
+				b.waiting[r][p] = nil
 				wakes = append(wakes, t)
 			}
 		}
 	}
-	b.pmu.Unlock()
+	b.mu.Unlock()
 	for _, t := range wakes {
 		t.sched.unpark(t, ErrWorldFailed, true)
 	}

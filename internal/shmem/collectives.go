@@ -2,8 +2,6 @@ package shmem
 
 import (
 	"fmt"
-	"runtime"
-	"time"
 
 	"repro/internal/value"
 )
@@ -46,7 +44,7 @@ func (op ReduceOp) String() string {
 // contract; they are goroutine-mode only (the LOLCODE engines never emit
 // them — only harness code running under World.Run does).
 func (pe *PE) Broadcast(root, slot int) error {
-	if pe.task != nil {
+	if pe.task.sched.pool {
 		return errNotParkSafe("Broadcast")
 	}
 	if err := pe.w.checkPE(root); err != nil {
@@ -71,7 +69,7 @@ func (pe *PE) Broadcast(root, slot int) error {
 // result in every PE's instance. Values are combined with the LOLCODE
 // numeric rules (NUMBR stays NUMBR until a NUMBAR appears). Collective.
 func (pe *PE) Reduce(slot int, op ReduceOp) error {
-	if pe.task != nil {
+	if pe.task.sched.pool {
 		return errNotParkSafe("Reduce")
 	}
 	if err := pe.Barrier(); err != nil {
@@ -214,34 +212,32 @@ func (c WaitCond) holds(a, b int64) bool {
 
 // WaitUntilNumbr blocks until this PE's local instance of slot satisfies
 // cond against operand — point-to-point synchronization
-// (shmem_wait_until), the partner of a remote Put. Under the worker
-// scheduler an unsatisfied condition yields instead of spinning: the
-// whole call is one idempotent check, so re-invoking it on resume is the
-// poll. This keeps a put/wait partner from pinning a pool worker.
+// (shmem_wait_until), the partner of a remote Put. An unsatisfied
+// condition yields instead of spinning: the whole attempt is one
+// idempotent check, so re-invoking it is the poll. Under the worker
+// scheduler this keeps a put/wait partner from pinning a pool worker.
 func (pe *PE) WaitUntilNumbr(slot int, cond WaitCond, operand int64) error {
 	if err := pe.w.checkSlot(slot); err != nil {
 		return err
 	}
-	c := pe.w.cellAt(pe.id, slot)
-	for spins := 0; ; spins++ {
-		c.lock()
-		cur, err := c.v.ToNumbr()
-		c.unlock()
-		if err == nil && cond.holds(cur, operand) {
-			return nil
-		}
-		select {
-		case <-pe.w.failCh:
-			return ErrWorldFailed
-		default:
-		}
-		if pe.task != nil {
-			return suspendYield
-		}
-		if spins < 64 {
-			runtime.Gosched()
-		} else {
-			time.Sleep(time.Microsecond)
-		}
+	err := pe.pollNumbr(slot, cond, operand)
+	for pe.wait(err) {
+		err = pe.pollNumbr(slot, cond, operand)
 	}
+	return err
+}
+
+// pollNumbr is one attempt at WaitUntilNumbr.
+func (pe *PE) pollNumbr(slot int, cond WaitCond, operand int64) error {
+	c := pe.w.cellAt(pe.id, slot)
+	c.lock()
+	cur, err := c.v.ToNumbr()
+	c.unlock()
+	if err == nil && cond.holds(cur, operand) {
+		return nil
+	}
+	if pe.w.failed() != nil {
+		return ErrWorldFailed
+	}
+	return suspendYield
 }

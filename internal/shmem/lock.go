@@ -2,88 +2,63 @@ package shmem
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
-// ticketLock is a FIFO spin lock in the style of the distributed queueing
-// locks OpenSHMEM implementations use for shmem_set_lock: arrivals take a
-// ticket, the holder advances the serving counter on release. FIFO ordering
-// keeps lock handoff fair under contention, which the teaching examples
-// (everyone increments PE 0's counter) rely on to finish promptly.
+// ticketLock is a FIFO ticket lock in the style of the distributed
+// queueing locks OpenSHMEM implementations use for shmem_set_lock:
+// arrivals take a ticket, the holder advances the serving counter on
+// release. FIFO ordering keeps lock handoff fair under contention, which
+// the teaching examples (everyone increments PE 0's counter) rely on to
+// finish promptly.
 type ticketLock struct {
 	next    atomic.Int64
 	serving atomic.Int64
 	owner   atomic.Int64 // PE id + 1; 0 = unheld (diagnostics only)
 
-	// Scheduler-mode waiters, keyed by ticket. release hands the lock
-	// directly to the parked holder of the next ticket (FIFO preserved)
-	// and unparks it; World.fail drains the map on teardown.
-	pmu    sync.Mutex
+	// Waiters, keyed by ticket. release hands the lock directly to the
+	// parked holder of the next ticket (FIFO preserved) and unparks it;
+	// World.fail drains the map on teardown.
+	mu     sync.Mutex
 	parked map[int64]*peTask
 }
 
-// acquire spins until this PE's ticket is served or the world fails.
-// Abandoning a ticket on failure would corrupt the queue for PEs behind
-// it, but a failed world is tearing down: every other spinner observes the
-// same failCh, so nobody is left waiting on the orphaned ticket.
-func (l *ticketLock) acquire(pe int, failCh <-chan struct{}) error {
-	t := l.next.Add(1) - 1
-	for spins := 0; l.serving.Load() != t; spins++ {
-		select {
-		case <-failCh:
-			return ErrWorldFailed
-		default:
-		}
-		if spins < 64 {
-			runtime.Gosched()
-		} else {
-			time.Sleep(time.Microsecond)
-		}
-	}
-	l.owner.Store(int64(pe) + 1)
-	return nil
-}
-
-// acquirePark is acquire under the worker scheduler: take a ticket, and
-// either acquire immediately (nil) or register the task for a release-
-// time hand-off and suspend. The failCh check happens under pmu, which
-// release and drainParked also take, so a concurrent World.fail either
-// is observed here (the mutex orders us after the close) or finds our
-// registration when it drains — a waiter can never be stranded.
-func (l *ticketLock) acquirePark(t *peTask, failCh <-chan struct{}) error {
+// acquire takes a ticket and either holds the lock at once (nil) or
+// registers t for the hand-off in release and returns the park request.
+// The failure check happens under mu, which release and drainParked
+// also take, so a concurrent World.fail either is observed here (the
+// mutex orders us after the store) or finds our registration when it
+// drains — a waiter can never be stranded. The ticket of a waiter that
+// bails out on failure is abandoned, which is safe because the world is
+// tearing down and registers no more waiters.
+func (l *ticketLock) acquire(t *peTask) error {
 	tk := l.next.Add(1) - 1
-	l.pmu.Lock()
+	l.mu.Lock()
+	defer l.mu.Unlock()
 	if l.serving.Load() == tk {
 		l.owner.Store(int64(t.pe.id) + 1)
-		l.pmu.Unlock()
 		return nil
 	}
-	select {
-	case <-failCh:
-		l.pmu.Unlock()
+	if t.pe.w.failed() != nil {
 		return ErrWorldFailed
-	default:
 	}
 	if l.parked == nil {
 		l.parked = make(map[int64]*peTask)
 	}
 	l.parked[tk] = t
-	l.pmu.Unlock()
 	return suspendPark
 }
 
-// drainParked unparks every scheduler-mode waiter with ErrWorldFailed.
+// drainParked unparks every waiter with ErrWorldFailed.
 func (l *ticketLock) drainParked() {
-	l.pmu.Lock()
+	l.mu.Lock()
 	var ts []*peTask
 	for tk, t := range l.parked {
 		delete(l.parked, tk)
 		ts = append(ts, t)
 	}
-	l.pmu.Unlock()
+	l.mu.Unlock()
 	for _, t := range ts {
 		t.sched.unpark(t, ErrWorldFailed, true)
 	}
@@ -112,16 +87,16 @@ func (l *ticketLock) release(pe int) error {
 	l.owner.Store(0)
 	s := l.serving.Add(1)
 	// Hand the lock to the parked holder of the now-serving ticket, if
-	// any. Goroutine-mode spinners observe the serving counter directly;
-	// a parked task must be made owner here (it does not re-run the
-	// acquire loop — its resumed SetLock just records the acquisition).
-	l.pmu.Lock()
+	// any: it is made owner here, and its re-invoked SetLock just records
+	// the acquisition. A holder that has taken the ticket but not yet
+	// registered finds serving == its ticket in acquire instead.
+	l.mu.Lock()
 	wt := l.parked[s]
 	if wt != nil {
 		delete(l.parked, s)
 		l.owner.Store(int64(wt.pe.id) + 1)
 	}
-	l.pmu.Unlock()
+	l.mu.Unlock()
 	if wt != nil {
 		wt.sched.unpark(wt, nil, true)
 	}
@@ -147,35 +122,27 @@ func (pe *PE) SetLock(id int) error {
 	if err := pe.w.checkLock(id); err != nil {
 		return err
 	}
-	if pe.task != nil {
-		if pending, rerr, _ := pe.consumeResume(); pending {
-			if rerr != nil {
-				return rerr
-			}
-			pe.w.stats.LockAcquires.Add(1)
-			pe.stats.LockAcquires++
-			pe.trace(EvLock, pe.w.lockHome(id), id, 0)
-			return nil
+	err := pe.setLock(id)
+	for pe.wait(err) {
+		err = pe.setLock(id)
+	}
+	return err
+}
+
+// setLock is one attempt at SetLock.
+func (pe *PE) setLock(id int) error {
+	if r := pe.takeResume(); r.deliver {
+		if r.err != nil {
+			return r.err
 		}
+	} else {
 		pe.charge(pe.w.model.LockNanos(pe.id, pe.w.lockHome(id)))
 		l := &pe.w.locks[id]
 		if !l.tryAcquire(pe.id) {
 			pe.w.stats.LockContended.Add(1)
-			if err := l.acquirePark(pe.task, pe.w.failCh); err != nil {
+			if err := l.acquire(pe.task); err != nil {
 				return err
 			}
-		}
-		pe.w.stats.LockAcquires.Add(1)
-		pe.stats.LockAcquires++
-		pe.trace(EvLock, pe.w.lockHome(id), id, 0)
-		return nil
-	}
-	pe.charge(pe.w.model.LockNanos(pe.id, pe.w.lockHome(id)))
-	l := &pe.w.locks[id]
-	if !l.tryAcquire(pe.id) {
-		pe.w.stats.LockContended.Add(1)
-		if err := l.acquire(pe.id, pe.w.failCh); err != nil {
-			return err
 		}
 	}
 	pe.w.stats.LockAcquires.Add(1)
@@ -184,8 +151,7 @@ func (pe *PE) SetLock(id int) error {
 	return nil
 }
 
-// drainLockWaiters releases every scheduler-mode lock waiter after a
-// world failure; goroutine-mode spinners observe failCh themselves.
+// drainLockWaiters releases every lock waiter after a world failure.
 func (w *World) drainLockWaiters() {
 	for i := range w.locks {
 		w.locks[i].drainParked()

@@ -2,6 +2,7 @@ package shmem
 
 import (
 	"errors"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -144,10 +145,10 @@ func TestRunScheduledSpuriousUnpark(t *testing.T) {
 }
 
 // TestRunScheduledWakeReleasesParkedWaiters is the centralBarrier.wake
-// audit: a parked (not goroutine-blocked) waiter holds no goroutine to
-// observe the condition broadcast, so a failing world must unpark it
-// explicitly or the run never terminates. Exercised for both barrier
-// algorithms: PE 0 fails before arriving, everyone else is parked.
+// audit: a parked waiter is released only by an explicit unpark, so a
+// failing world must unpark it or the run never terminates. Exercised
+// for both barrier algorithms: PE 0 fails before arriving, everyone else
+// is parked.
 func TestRunScheduledWakeReleasesParkedWaiters(t *testing.T) {
 	boom := errors.New("boom")
 	for _, alg := range []BarrierAlg{BarrierCentral, BarrierDissemination} {
@@ -177,28 +178,32 @@ func TestRunScheduledWakeReleasesParkedWaiters(t *testing.T) {
 	}
 }
 
-// TestRunScheduledDeadlockDetected: the scheduler's exact deadlock test.
-// One PE exits holding the global lock; every other PE is parked on it
-// with no wakeup ever coming. Goroutine mode would hang until a context
-// deadline — worker mode must fail immediately with ErrDeadlock.
+// TestRunScheduledDeadlockDetected: the scheduler's exact deadlock test,
+// in both modes. One PE exits holding the global lock; every other PE
+// is parked on it with no wakeup ever coming, so the run must fail
+// immediately with ErrDeadlock instead of hanging.
 func TestRunScheduledDeadlockDetected(t *testing.T) {
-	w, err := NewWorld(3, nil, 1, Options{})
-	if err != nil {
-		t.Fatal(err)
+	body := func(pe *PE) error {
+		return pe.SetLock(0) // exit holding the lock: the others can never proceed
 	}
-	err = w.RunScheduled(2, func(pe *PE) func() error {
-		return func() error {
-			if err := pe.SetLock(0); err != nil {
-				return err
-			}
-			return nil // exit holding the lock: the others can never proceed
+	for _, workers := range []int{0, 2} {
+		w, err := NewWorld(3, nil, 1, Options{})
+		if err != nil {
+			t.Fatal(err)
 		}
-	})
-	if !errors.Is(err, ErrDeadlock) {
-		t.Fatalf("want ErrDeadlock, got %v", err)
-	}
-	if !errors.Is(w.Err(), ErrDeadlock) {
-		t.Fatalf("world cause = %v, want ErrDeadlock", w.Err())
+		if workers == 0 {
+			err = w.Run(body)
+		} else {
+			err = w.RunScheduled(workers, func(pe *PE) func() error {
+				return func() error { return body(pe) }
+			})
+		}
+		if !errors.Is(err, ErrDeadlock) {
+			t.Fatalf("workers=%d: want ErrDeadlock, got %v", workers, err)
+		}
+		if !errors.Is(w.Err(), ErrDeadlock) {
+			t.Fatalf("workers=%d: world cause = %v, want ErrDeadlock", workers, w.Err())
+		}
 	}
 }
 
@@ -246,5 +251,102 @@ func TestRunScheduledCollectivesRejected(t *testing.T) {
 	})
 	if err == nil || !strings.Contains(err.Error(), "worker scheduler") {
 		t.Fatalf("want a park-safety error, got %v", err)
+	}
+}
+
+// TestGoroutineModeSyncAllocFree: the wait queues reuse their storage,
+// so once warm, a goroutine-mode barrier episode (either algorithm) and
+// a contended lock hand-off allocate nothing at NP 16. PE 0 measures
+// while the other PEs keep the operation under full participation.
+func TestGoroutineModeSyncAllocFree(t *testing.T) {
+	const np, runs, warm = 16, 50, 4
+	for _, alg := range []BarrierAlg{BarrierCentral, BarrierDissemination} {
+		w, err := NewWorld(np, nil, 0, Options{Barrier: alg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var allocs float64
+		err = w.Run(func(pe *PE) error {
+			for i := 0; i < warm; i++ {
+				if err := pe.Barrier(); err != nil {
+					return err
+				}
+			}
+			if pe.ID() == 0 {
+				var berr error
+				allocs = testing.AllocsPerRun(runs, func() {
+					if err := pe.Barrier(); err != nil {
+						berr = err
+					}
+				})
+				return berr
+			}
+			for i := 0; i < runs+1; i++ { // AllocsPerRun adds one warm-up call
+				if err := pe.Barrier(); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatalf("%v: %v", alg, err)
+		}
+		if allocs != 0 {
+			t.Errorf("%v barrier: %v allocations per episode, want 0", alg, allocs)
+		}
+	}
+
+	w, err := NewWorld(np, nil, 1, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stop atomic.Bool
+	var allocs float64
+	// The other PEs hold the lock across a reschedule, so PE 0's
+	// acquisitions queue behind them and are handed off on release.
+	hold := func(pe *PE) error {
+		if err := pe.SetLock(0); err != nil {
+			return err
+		}
+		runtime.Gosched()
+		return pe.ClearLock(0)
+	}
+	err = w.Run(func(pe *PE) error {
+		for i := 0; i < warm; i++ {
+			if err := hold(pe); err != nil {
+				return err
+			}
+		}
+		if err := pe.Barrier(); err != nil {
+			return err
+		}
+		if pe.ID() == 0 {
+			defer stop.Store(true)
+			var lerr error
+			allocs = testing.AllocsPerRun(runs, func() {
+				if err := pe.SetLock(0); err != nil {
+					lerr = err
+				}
+				if err := pe.ClearLock(0); err != nil {
+					lerr = err
+				}
+			})
+			return lerr
+		}
+		for !stop.Load() {
+			if err := hold(pe); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s := w.Stats(); s.LockContended == 0 {
+		t.Fatalf("lock was never contended: %+v", s)
+	}
+	if allocs != 0 {
+		t.Errorf("SetLock/ClearLock: %v allocations per hand-off, want 0", allocs)
 	}
 }

@@ -10,15 +10,18 @@
 // nanoseconds to the calling PE for every one-sided operation, so
 // programs report hardware-shaped timing without the hardware.
 //
-// A world executes in one of two modes. Under World.Run each PE is a
-// dedicated goroutine and blocking operations block it — simple, and the
-// differential oracle for everything else. Under World.RunScheduled each
-// PE is a resumable continuation multiplexed onto a bounded worker pool:
-// blocking operations return a *Suspend (see suspend.go) instead of
-// blocking, the scheduler parks the task, and the wait structures —
-// barriers, ticket locks — unpark it explicitly when satisfied. That is
-// what makes NP in the thousands affordable: a parked PE costs one small
-// struct, not a goroutine stack.
+// Every blocking operation — barrier arrival, lock acquisition,
+// point-to-point wait — has one implementation: it registers the PE's
+// task in a wait queue and suspends (see suspend.go), and whichever PE
+// satisfies the wait unparks it explicitly. A world runs its PEs in one
+// of two ways on top of that protocol. Under World.RunScheduled each PE
+// is a resumable continuation multiplexed onto a bounded worker pool:
+// the *Suspend goes back to the engine and the worker picks up another
+// PE, which is what makes NP in the thousands affordable. Under
+// World.Run each PE keeps a dedicated goroutine, which blocks on its own
+// semaphore instead and re-invokes the operation when woken, so
+// run-to-completion engines never see a *Suspend. Both count their PEs
+// in the same scheduler state, so both detect deadlock exactly.
 package shmem
 
 import (
@@ -61,10 +64,11 @@ type SymbolSpec struct {
 type BarrierAlg int
 
 const (
-	// BarrierCentral is a sense-reversing central barrier (mutex + cond).
+	// BarrierCentral is a central barrier: one arrival count and one
+	// wait queue per episode.
 	BarrierCentral BarrierAlg = iota
 	// BarrierDissemination is a log2(n)-round dissemination barrier built
-	// on buffered channels.
+	// on per-round token counters.
 	BarrierDissemination
 )
 
@@ -115,10 +119,10 @@ type World struct {
 	opts  Options
 
 	failOnce sync.Once
-	failCh   chan struct{}
 	failErr  atomic.Value // error
 
-	// sched is non-nil iff this world runs under RunScheduled.
+	// sched is the scheduler of the world's run; nil before Run or
+	// RunScheduled starts.
 	sched *scheduler
 
 	stats Stats
@@ -141,7 +145,6 @@ func NewWorld(n int, syms []SymbolSpec, nLocks int, opts Options) (*World, error
 		locks:   make([]ticketLock, nLocks),
 		model:   opts.Model,
 		opts:    opts,
-		failCh:  make(chan struct{}),
 	}
 	for i := range w.symSize {
 		w.symSize[i] = -1
@@ -151,7 +154,7 @@ func NewWorld(n int, syms []SymbolSpec, nLocks int, opts Options) (*World, error
 	}
 	switch opts.Barrier {
 	case BarrierDissemination:
-		w.barrier = newDisseminationBarrier(n, w.failCh)
+		w.barrier = newDisseminationBarrier(n)
 	default:
 		w.barrier = newCentralBarrier(n)
 	}
@@ -176,14 +179,11 @@ func (w *World) Stats() StatsSnapshot {
 	return s
 }
 
-// fail records the first failure and releases all blocked PEs — both
-// goroutines blocked in waits (they observe failCh or the barrier wake)
-// and tasks parked under the worker scheduler (the wake paths unpark
-// them with ErrWorldFailed).
+// fail records the first failure and releases every parked PE: the wait
+// queues unpark them with ErrWorldFailed.
 func (w *World) fail(err error) {
 	w.failOnce.Do(func() {
 		w.failErr.Store(err)
-		close(w.failCh)
 		w.barrier.wake()
 		w.drainLockWaiters()
 	})
@@ -219,30 +219,41 @@ func (w *World) Err() error { return w.failed() }
 type PE struct {
 	id  int
 	w   *World
-	rng *rand.Rand
+	rng *rand.Rand // created on the first Rand call
 
-	// task is non-nil under the worker scheduler; blocking operations
-	// then suspend instead of blocking. resume* is the wakeup payload
-	// staged by the scheduler before a parked task's step is re-invoked;
-	// the re-executed blocking operation consumes it (consumeResume).
-	task          *peTask
-	resumePending bool
-	resumeDone    bool
-	resumeErr     error
+	// task is this PE's entry in the scheduler. resume is the wakeup
+	// staged by the scheduler before a parked operation is re-invoked;
+	// the re-executed blocking operation consumes it (takeResume).
+	task   *peTask
+	resume wakeState
 
 	simNanos float64 // simulated time consumed by this PE
 	stats    PEStats
 }
 
-// consumeResume hands the staged wakeup payload to the blocking
-// operation being re-invoked after a park, clearing it so a later
-// blocking call on the same PE starts fresh.
-func (pe *PE) consumeResume() (pending bool, err error, done bool) {
-	if !pe.resumePending {
-		return false, nil, false
+// takeResume hands the staged wakeup to the blocking operation being
+// re-invoked after a park (deliver is false on a first attempt),
+// clearing it so a later blocking call on the same PE starts fresh.
+func (pe *PE) takeResume() wakeState {
+	r := pe.resume
+	pe.resume = wakeState{}
+	return r
+}
+
+// wait decides what a blocking operation does after one attempt that
+// returned err. A *Suspend means the operation registered the PE in a
+// wait queue (or asked to yield). Under the worker pool it goes back to
+// the engine, and wait reports false. With a goroutine per PE, the
+// goroutine blocks here until the wakeup arrives (or yields the thread)
+// and wait reports true: the caller re-invokes the operation exactly as
+// a resumed step would.
+func (pe *PE) wait(err error) bool {
+	sus := AsSuspend(err)
+	if sus == nil || pe.task.sched.pool {
+		return false
 	}
-	pe.resumePending = false
-	return true, pe.resumeErr, pe.resumeDone
+	pe.task.sched.block(pe.task, sus.Yield)
+	return true
 }
 
 // ID returns this PE's rank, 0..N-1 (the paper's ME).
@@ -254,8 +265,15 @@ func (pe *PE) NPEs() int { return pe.w.n }
 // World returns the owning world.
 func (pe *PE) World() *World { return pe.w }
 
-// Rand returns this PE's deterministic random stream (WHATEVR/WHATEVAR).
-func (pe *PE) Rand() *rand.Rand { return pe.rng }
+// Rand returns this PE's deterministic random stream (WHATEVR/WHATEVAR),
+// seeded with Seed + ID. Most programs never draw, so the stream is built
+// on first use.
+func (pe *PE) Rand() *rand.Rand {
+	if pe.rng == nil {
+		pe.rng = rand.New(rand.NewSource(pe.w.opts.Seed + int64(pe.id)))
+	}
+	return pe.rng
+}
 
 // SimNanos returns the simulated time this PE has consumed under the
 // world's cost model.
@@ -268,71 +286,44 @@ func (pe *PE) charge(nanos float64) { pe.simNanos += nanos }
 
 // Run executes body once per PE in its own goroutine and waits for all of
 // them. The first error (or panic, converted to an error) aborts blocked
-// collectives on other PEs; Run returns the joined errors.
+// collectives on other PEs; Run returns the joined errors, wrapped with
+// ErrDeadlock when every unfinished PE ended up parked.
 func (w *World) Run(body func(pe *PE) error) error {
-	errs := make([]error, w.n)
-	var wg sync.WaitGroup
-	wg.Add(w.n)
-	for id := 0; id < w.n; id++ {
-		pe := &PE{id: id, w: w, rng: rand.New(rand.NewSource(w.opts.Seed + int64(id)))}
-		go func(pe *PE) {
-			defer wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					err := fmt.Errorf("PE %d panicked: %v", pe.id, r)
-					errs[pe.id] = err
-					w.fail(err)
-				}
-			}()
-			if err := body(pe); err != nil {
-				errs[pe.id] = fmt.Errorf("PE %d: %w", pe.id, err)
-				w.fail(errs[pe.id])
-			}
-		}(pe)
-	}
-	wg.Wait()
-	return errors.Join(errs...)
+	return w.run(0, func(pe *PE) func() error {
+		return func() error { return body(pe) }
+	})
 }
 
 // Barrier is the collective barrier (the paper's HUGZ). Every PE must call
 // it before any PE continues. Under the worker scheduler it may return a
 // *Suspend; the re-invocation after the wakeup completes it.
 func (pe *PE) Barrier() error {
-	if pe.task != nil {
-		return pe.barrierScheduled()
-	}
-	pe.charge(pe.w.model.BarrierNanos(pe.w.n))
-	pe.w.stats.Barriers.Add(1)
-	pe.stats.Barriers++
-	err := pe.w.barrier.wait(pe.id, pe.w)
-	if err == nil {
-		pe.trace(EvBarrier, -1, -1, 0)
+	err := pe.barrier()
+	for pe.wait(err) {
+		err = pe.barrier()
 	}
 	return err
 }
 
-// barrierScheduled is Barrier under the worker scheduler. The cost-model
-// charge and the counters apply once, on first arrival; a resume with
-// done=false (an intermediate dissemination round token) re-enters
-// arrive without re-charging.
-func (pe *PE) barrierScheduled() error {
-	pending, rerr, done := pe.consumeResume()
-	if pending {
-		if rerr != nil {
-			return rerr
-		}
-		if done {
-			pe.trace(EvBarrier, -1, -1, 0)
-			return nil
-		}
-	} else {
+// barrier is one attempt at Barrier. The cost-model charge and the
+// counters apply once, on first arrival; a resume with done=false (an
+// intermediate dissemination round token) re-enters arrive without
+// re-charging.
+func (pe *PE) barrier() error {
+	r := pe.takeResume()
+	if r.err != nil {
+		return r.err
+	}
+	if !r.deliver {
 		pe.charge(pe.w.model.BarrierNanos(pe.w.n))
 		pe.w.stats.Barriers.Add(1)
 		pe.stats.Barriers++
 	}
-	err := pe.w.barrier.arrive(pe.task)
-	if err == nil {
-		pe.trace(EvBarrier, -1, -1, 0)
+	if !r.done {
+		if err := pe.w.barrier.arrive(pe.task); err != nil {
+			return err
+		}
 	}
-	return err
+	pe.trace(EvBarrier, -1, -1, 0)
+	return nil
 }

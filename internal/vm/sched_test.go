@@ -61,7 +61,7 @@ KTHXBYE`
 // explicit cancel — in both scheduler modes, with the
 // sched.spurious.unpark failpoint injecting spurious wakeups throughout
 // the worker runs. The outcome classification (errors.Is identity) must
-// match goroutine mode exactly, and after every worker-mode kill the
+// match goroutine mode exactly, and after every kill, in either mode, the
 // scheduler gauges must have drained to zero with parks and unparks
 // balanced: no lost wakeup, no double resume, no PE left behind.
 func TestSchedKillClassificationParity(t *testing.T) {
@@ -121,17 +121,15 @@ func TestSchedKillClassificationParity(t *testing.T) {
 						t.Fatalf("%v mode: error %v does not classify as %v", mode, err, class)
 					}
 					classes[i] = class
-					if mode == backend.SchedWorkers {
-						s := res.Stats.Sched
-						if s.Mode != "workers" {
-							t.Fatalf("scheduler did not run in worker mode: %+v", s)
-						}
-						if s.Parked != 0 || s.Ready != 0 || s.Running != 0 {
-							t.Errorf("scheduler gauges not drained after kill: %+v", s)
-						}
-						if s.Parks != s.Unparks {
-							t.Errorf("parks %d != unparks %d after kill", s.Parks, s.Unparks)
-						}
+					s := res.Stats.Sched
+					if s.Mode != mode.String() {
+						t.Fatalf("scheduler did not run in %v mode: %+v", mode, s)
+					}
+					if s.Parked != 0 || s.Ready != 0 || s.Running != 0 {
+						t.Errorf("%v mode: scheduler gauges not drained after kill: %+v", mode, s)
+					}
+					if s.Parks != s.Unparks {
+						t.Errorf("%v mode: parks %d != unparks %d after kill", mode, s.Parks, s.Unparks)
 					}
 				}
 				if classes[0] != classes[1] {
