@@ -254,14 +254,14 @@ func BenchmarkF2_Exchange(b *testing.B) {
 		b.Fatal(err)
 	}
 	prog := mustParse(b, string(src))
-	cp, err := prog.Compiled()
-	if err != nil {
+	if err := prog.Prepare(core.BackendCompile); err != nil {
 		b.Fatal(err)
 	}
+	cfg := core.RunConfig{Config: interp.Config{NP: 4, Seed: 1, Stdout: io.Discard}}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := cp.Run(interp.Config{NP: 4, Seed: 1, Stdout: io.Discard}); err != nil {
+		if _, err := prog.Run(cfg); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -275,10 +275,8 @@ func BenchmarkE1_Backends(b *testing.B) {
 		backend := backend
 		b.Run(backend.String(), func(b *testing.B) {
 			prog := mustParse(b, src)
-			if backend == core.BackendCompile {
-				if _, err := prog.Compiled(); err != nil {
-					b.Fatal(err)
-				}
+			if err := prog.Prepare(backend); err != nil {
+				b.Fatal(err)
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -301,14 +299,13 @@ func BenchmarkE2_NBodyWeakScaling(b *testing.B) {
 		np := np
 		b.Run(fmt.Sprintf("np%d", np), func(b *testing.B) {
 			prog := mustParse(b, experiments.GenNBody(8, 2))
-			cp, err := prog.Compiled()
-			if err != nil {
+			if err := prog.Prepare(core.BackendCompile); err != nil {
 				b.Fatal(err)
 			}
-			model := machine.NewParallella()
+			cfg := core.RunConfig{Config: interp.Config{NP: np, Seed: 7, Model: machine.NewParallella()}}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := cp.Run(interp.Config{NP: np, Seed: 7, Model: model}); err != nil {
+				if _, err := prog.Run(cfg); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -358,15 +355,8 @@ func benchBackendKernels(b *testing.B, backend core.Backend) {
 		b.Run(k.name, func(b *testing.B) {
 			prog := mustParse(b, k.src)
 			// Prepare outside the timed region, as a real launcher would.
-			switch backend {
-			case core.BackendCompile:
-				if _, err := prog.Compiled(); err != nil {
-					b.Fatal(err)
-				}
-			case core.BackendVM:
-				if _, err := prog.Bytecode(); err != nil {
-					b.Fatal(err)
-				}
+			if err := prog.Prepare(backend); err != nil {
+				b.Fatal(err)
 			}
 			b.ReportAllocs()
 			b.ResetTimer()

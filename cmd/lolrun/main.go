@@ -5,8 +5,9 @@
 //	lolrun -np 1024 -machine xc40 -backend interp testdata/fig2.lol
 //	lolrun -np 4 -backend vm -timeout 5s -max-steps 1000000 testdata/fig2.lol
 //
-// The -backend flag selects the execution engine (any registered
-// backend.Backend: interp, vm, or compile); -machine selects the latency
+// The -backend flag selects the execution engine from core's engine table
+// (interp, vm, or compile; compile by default) and runs it through
+// core.Program.Run, the path lolserv runs; -machine selects the latency
 // model the PGAS runtime charges for one-sided operations; -stats prints
 // the operation counters and per-PE simulated time after the run.
 // -timeout bounds the run's wall clock and -max-steps bounds each PE's
@@ -28,7 +29,6 @@ import (
 
 	"repro/internal/backend"
 	"repro/internal/core"
-	"repro/internal/interp"
 	"repro/internal/machine"
 	"repro/internal/shmem"
 	"repro/internal/trace"
@@ -46,7 +46,7 @@ func run(args []string) int {
 	fs.SetOutput(os.Stderr)
 	np := fs.Int("np", 1, "number of processing elements")
 	machineName := fs.String("machine", "smp", "cost model: "+strings.Join(machine.Names(), ", "))
-	backendName := fs.String("backend", "compile", "execution backend: "+strings.Join(backend.Names(), ", "))
+	backendName := fs.String("backend", core.DefaultBackend.String(), "execution backend: "+strings.Join(core.BackendNames(), ", "))
 	seed := fs.Int64("seed", 1, "base RNG seed (PE i uses seed+i)")
 	group := fs.Bool("group", false, "buffer output per PE and emit it grouped in rank order")
 	stats := fs.Bool("stats", false, "print runtime statistics after the run")
@@ -72,7 +72,7 @@ func run(args []string) int {
 		fmt.Fprintln(os.Stderr, err)
 		return 2
 	}
-	eng, err := backend.ByName(*backendName)
+	eng, err := core.ParseBackend(*backendName)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "lolrun: %v\n", err)
 		return 2
@@ -97,7 +97,7 @@ func run(args []string) int {
 	}
 
 	if *dumpBytecode {
-		vp, err := prog.Bytecode()
+		vp, err := vm.Compile(prog.Info)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			return 1
@@ -114,7 +114,7 @@ func run(args []string) int {
 	}
 
 	var rec trace.Recorder
-	cfg := interp.Config{
+	cfg := backend.Config{
 		NP:          *np,
 		Model:       model,
 		Barrier:     alg,
@@ -129,7 +129,7 @@ func run(args []string) int {
 	if *traceFlag {
 		cfg.Tracer = rec.Record
 	}
-	res, err := eng.Run(prog.Info, cfg)
+	res, err := prog.Run(core.RunConfig{Config: cfg, Backend: eng})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 1
@@ -146,7 +146,7 @@ func run(args []string) int {
 	if *stats {
 		s := res.Stats
 		fmt.Fprintf(os.Stderr, "--- lolrun stats (np=%d, machine=%s, backend=%s) ---\n",
-			*np, model.Name(), eng.Name())
+			*np, model.Name(), eng)
 		fmt.Fprintf(os.Stderr, "remote puts: %d (%d bytes)\n", s.RemotePuts, s.PutBytes)
 		fmt.Fprintf(os.Stderr, "remote gets: %d (%d bytes)\n", s.RemoteGets, s.GetBytes)
 		fmt.Fprintf(os.Stderr, "barriers:    %d\n", s.Barriers)

@@ -14,17 +14,21 @@
 //   - internal/lexer, parser, sema: the language frontend for Tables I-III;
 //     sema also performs the slot-resolution pass that assigns every
 //     variable its frame slot and lexical depth, shared by all backends;
-//   - internal/backend: the Backend interface, engine registry, and the
-//     SPMD execution plumbing (Config, Result, per-PE output) every engine
-//     shares — including the cancellation/budget contract (Config.Context,
-//     Config.StepBudget, Meter) that bounds every run's wall clock and
-//     per-PE step count;
+//   - internal/backend: the SPMD execution plumbing (Config, Result,
+//     per-PE output) every engine shares — including the
+//     cancellation/budget contract (Config.Context, Config.StepBudget,
+//     Meter) that bounds every run's wall clock and per-PE step count;
 //   - internal/interp, vm, compile: the three execution engines spanning
 //     the classic design space — a tree-walking interpreter, a
 //     slot-addressed bytecode VM (with a superinstruction fusion pass,
 //     unboxed arithmetic fast paths, and weight-preserving step metering;
 //     `lolrun -dump-bytecode` prints the fused listing), and a closure
-//     compiler (select one with `lolrun -backend=interp|vm|compile`);
+//     compiler;
+//   - internal/core: the public face — Parse/ParseFile, and the engine
+//     table that names every engine (core.Backend, ParseBackend) and
+//     prepares and runs it with a per-Program cache (Program.Prepare,
+//     Program.Run); `lolrun -backend=interp|vm|compile` and lolserv both
+//     select engines through it;
 //   - internal/gogen: the LOLCODE-to-Go source emitter (the paper's lcc
 //     emitted C + OpenSHMEM), with a typed fast path that unboxes
 //     statically-known NUMBR/NUMBAR locals to raw Go scalars; emitted

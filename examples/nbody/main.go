@@ -14,8 +14,8 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/backend"
 	"repro/internal/core"
-	"repro/internal/interp"
 	"repro/internal/machine"
 )
 
@@ -34,11 +34,11 @@ func main() {
 		log.Fatal(err)
 	}
 
-	run := func(backend core.Backend, out io.Writer) (time.Duration, *interp.Result) {
+	run := func(b core.Backend, out io.Writer) (time.Duration, *backend.Result) {
 		start := time.Now()
 		res, err := prog.Run(core.RunConfig{
-			Backend: backend,
-			Config: interp.Config{
+			Backend: b,
+			Config: backend.Config{
 				NP:          *np,
 				Model:       model,
 				Seed:        7,

@@ -1,97 +1,33 @@
-// Package backend defines the common execution-backend abstraction shared
-// by the three engines that can run a checked parallel-LOLCODE program:
+// Package backend owns the execution plumbing shared by the three engines
+// that can run a checked parallel-LOLCODE program:
 //
 //   - internal/interp: the tree-walking interpreter (baseline);
 //   - internal/vm: the slot-addressed bytecode VM (middle point);
 //   - internal/compile: the closure compiler (production path).
 //
-// All three implement Backend and register themselves here, so launchers
-// (cmd/lolrun, cmd/lolbench) and the conformance harness can select an
-// engine by name and run the same backend×fixture matrix over every engine.
-// The package also owns the execution plumbing every engine shares: the run
-// Config, the Result, the per-PE output/stdin multiplexers, and the SPMD
-// driver that maps one engine body over the shmem world.
+// That plumbing is the run Config, the Result, the per-PE output and
+// stdin multiplexers, the step and deadline Meter, and the SPMD driver
+// that maps one engine body over the shmem world. Selecting and running
+// an engine by name is internal/core's job (core.Backend, core.Program).
 package backend
 
 import (
 	"errors"
 	"fmt"
-	"sort"
-	"sync"
 	"time"
 
 	"repro/internal/sema"
 	"repro/internal/shmem"
 )
 
-// Backend is one execution engine. Run executes a semantically checked
-// program SPMD under cfg and reports run statistics. Engines are stateless;
-// callers that want to amortize per-program preparation (bytecode or
-// closure compilation) should use the engine package's Program type
-// directly (core.Program does, caching one prepared form per engine).
-type Backend interface {
-	// Name is the stable identifier used by -backend flags and reports.
-	Name() string
-	// Run executes the program across cfg.NP processing elements.
-	Run(info *sema.Info, cfg Config) (*Result, error)
-}
-
-var (
-	regMu    sync.RWMutex
-	registry = map[string]Backend{}
-)
-
-// Register makes an engine selectable by name. Engines call it from init;
-// importing repro/internal/core links in all three. Re-registering a name
-// panics: it is a wiring bug, not a runtime condition.
-func Register(b Backend) {
-	regMu.Lock()
-	defer regMu.Unlock()
-	if _, dup := registry[b.Name()]; dup {
-		panic(fmt.Sprintf("backend: %q registered twice", b.Name()))
-	}
-	registry[b.Name()] = b
-}
-
-// ByName returns the engine registered under name.
-func ByName(name string) (Backend, error) {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	b, ok := registry[name]
-	if !ok {
-		return nil, fmt.Errorf("backend: unknown backend %q (want one of %v)", name, Names())
-	}
-	return b, nil
-}
-
-// Names lists the registered engine names in sorted order.
-func Names() []string {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	names := make([]string, 0, len(registry))
-	for name := range registry {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// All returns the registered engines sorted by name.
-func All() []Backend {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	out := make([]Backend, 0, len(registry))
-	for _, b := range registry {
-		out = append(out, b)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name() < out[j].Name() })
-	return out
-}
-
 // NewWorld builds the shmem world implied by the program's symmetric
 // symbols: one heap slot per WE HAS A declaration, one lock per
 // AN IM SHARIN IT, exactly the per-PE layout of the paper's Figure 1.
-func NewWorld(info *sema.Info, cfg Config) (*shmem.World, error) {
+// A cfg.NP of zero or less is normalized to one PE first.
+func NewWorld(info *sema.Info, cfg *Config) (*shmem.World, error) {
+	if cfg.NP <= 0 {
+		cfg.NP = 1
+	}
 	syms := make([]shmem.SymbolSpec, len(info.Shared))
 	for i, s := range info.Shared {
 		syms[i] = shmem.SymbolSpec{Name: s.Name, IsArray: s.IsArray, Elem: s.Type}

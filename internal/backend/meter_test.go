@@ -28,11 +28,11 @@ func TestStepBudgetKillsEveryBackend(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, eng := range backend.All() {
+	for _, eng := range core.Backends() {
 		eng := eng
-		t.Run(eng.Name(), func(t *testing.T) {
+		t.Run(eng.String(), func(t *testing.T) {
 			t.Parallel()
-			_, err := eng.Run(prog.Info, backend.Config{NP: 2, StepBudget: 10_000})
+			_, err := prog.Run(core.RunConfig{Config: backend.Config{NP: 2, StepBudget: 10_000}, Backend: eng})
 			if err == nil {
 				t.Fatal("infinite loop completed under a step budget")
 			}
@@ -50,13 +50,13 @@ func TestContextDeadlineKillsEveryBackend(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, eng := range backend.All() {
+	for _, eng := range core.Backends() {
 		eng := eng
-		t.Run(eng.Name(), func(t *testing.T) {
+		t.Run(eng.String(), func(t *testing.T) {
 			t.Parallel()
 			ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 			defer cancel()
-			_, err := eng.Run(prog.Info, backend.Config{NP: 2, Context: ctx})
+			_, err := prog.Run(core.RunConfig{Config: backend.Config{NP: 2, Context: ctx}, Backend: eng})
 			if err == nil {
 				t.Fatal("infinite loop completed under a deadline")
 			}
@@ -85,9 +85,9 @@ KTHXBYE`
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, eng := range backend.All() {
+	for _, eng := range core.Backends() {
 		eng := eng
-		t.Run(eng.Name(), func(t *testing.T) {
+		t.Run(eng.String(), func(t *testing.T) {
 			t.Parallel()
 			ctx, cancel := context.WithCancel(context.Background())
 			go func() {
@@ -96,7 +96,7 @@ KTHXBYE`
 			}()
 			done := make(chan error, 1)
 			go func() {
-				_, err := eng.Run(prog.Info, backend.Config{NP: 4, Context: ctx})
+				_, err := prog.Run(core.RunConfig{Config: backend.Config{NP: 4, Context: ctx}, Backend: eng})
 				done <- err
 			}()
 			select {
@@ -134,14 +134,14 @@ func TestStepBudgetRoomToFinish(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, eng := range backend.All() {
+	for _, eng := range core.Backends() {
 		var out strings.Builder
 		cfg := backend.Config{NP: 2, Stdout: &out, GroupOutput: true, StepBudget: 1 << 20, Context: context.Background()}
-		if _, err := eng.Run(prog.Info, cfg); err != nil {
-			t.Fatalf("%s: %v", eng.Name(), err)
+		if _, err := prog.Run(core.RunConfig{Config: cfg, Backend: eng}); err != nil {
+			t.Fatalf("%s: %v", eng, err)
 		}
 		if out.String() != "PE 0\nPE 1\n" {
-			t.Errorf("%s output = %q", eng.Name(), out.String())
+			t.Errorf("%s output = %q", eng, out.String())
 		}
 	}
 }

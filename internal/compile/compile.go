@@ -16,29 +16,11 @@ import (
 
 	"repro/internal/ast"
 	"repro/internal/backend"
-	"repro/internal/interp"
 	"repro/internal/sema"
 	"repro/internal/shmem"
 	"repro/internal/token"
 	"repro/internal/value"
 )
-
-// engine implements backend.Backend. It recompiles on every Run; callers
-// that run one program repeatedly should hold a Program (core.Program
-// caches one per engine).
-type engine struct{}
-
-func (engine) Name() string { return "compile" }
-
-func (engine) Run(info *sema.Info, cfg interp.Config) (*interp.Result, error) {
-	p, err := Compile(info)
-	if err != nil {
-		return nil, err
-	}
-	return p.Run(cfg)
-}
-
-func init() { backend.Register(engine{}) }
 
 // ctrl is the statement-level control-flow signal.
 type ctrl int
@@ -89,9 +71,9 @@ type env struct {
 	// points where execution time and blocking can become unbounded.
 	meter backend.Meter
 
-	out   *interp.PEWriter
-	errw  *interp.PEWriter
-	stdin *interp.SharedReader
+	out   *backend.PEWriter
+	errw  *backend.PEWriter
+	stdin *backend.SharedReader
 }
 
 const maxCallDepth = 10_000
@@ -107,14 +89,14 @@ func rerr(pos token.Pos, err error) error {
 	if err == nil {
 		return nil
 	}
-	if _, ok := err.(*interp.RuntimeError); ok {
+	if _, ok := err.(*backend.RuntimeError); ok {
 		return err
 	}
-	return &interp.RuntimeError{Pos: pos, Err: err}
+	return &backend.RuntimeError{Pos: pos, Err: err}
 }
 
 func rerrf(pos token.Pos, format string, args ...any) error {
-	return &interp.RuntimeError{Pos: pos, Err: fmt.Errorf(format, args...)}
+	return &backend.RuntimeError{Pos: pos, Err: fmt.Errorf(format, args...)}
 }
 
 // Options tunes compilation. The zero value is the production
@@ -159,19 +141,11 @@ func CompileOpts(info *sema.Info, opts Options) (*Program, error) {
 }
 
 // Run executes the compiled program under cfg.
-func (p *Program) Run(cfg interp.Config) (*interp.Result, error) {
-	if cfg.NP <= 0 {
-		cfg.NP = 1
-	}
-	world, err := interp.NewWorld(p.info, cfg)
+func (p *Program) Run(cfg backend.Config) (*backend.Result, error) {
+	world, err := backend.NewWorld(p.info, &cfg)
 	if err != nil {
 		return nil, err
 	}
-	return p.RunWorld(cfg, world)
-}
-
-// RunWorld executes the compiled program on an existing world.
-func (p *Program) RunWorld(cfg interp.Config, world *shmem.World) (*interp.Result, error) {
 	return backend.RunSPMD(cfg, world, func(pe *shmem.PE, io backend.PEIO) error {
 		e := &env{
 			prog:  p,
@@ -474,7 +448,7 @@ func (c *compiler) decl(n *ast.Decl) (stmtFn, error) {
 		}
 		zero = z
 	}
-	static, styp := sym.Static, sym.Type
+	static, styp, name := sym.Static, sym.Type, n.Name
 
 	eval := func(e *env) (value.Value, error) {
 		v := zero
@@ -487,7 +461,7 @@ func (c *compiler) decl(n *ast.Decl) (stmtFn, error) {
 			if static {
 				cv, err := value.Cast(v, styp)
 				if err != nil {
-					return value.NOOB, rerr(pos, err)
+					return value.NOOB, rerr(pos, fmt.Errorf("initializing SRSLY %s %s: %w", styp, name, err))
 				}
 				v = cv
 			}

@@ -604,11 +604,15 @@ func dynamicWrite(e *env, sym *sema.Symbol, sp ast.Space, pos token.Pos, v value
 	if sym.Static && !sym.IsArray {
 		cv, err := value.Cast(v, sym.Type)
 		if err != nil {
-			return rerr(pos, err)
+			return rerr(pos, fmt.Errorf("assigning to SRSLY %s %s: %w", sym.Type, sym.Name, err))
 		}
 		v = cv
 	}
 	if sym.Kind != sema.SymShared {
+		// A private whole-array write copies contents, as writeVar does.
+		if cur := e.frame[sym.Slot]; sym.IsArray && v.Kind() == value.ArrayK && cur.Kind() == value.ArrayK {
+			return rerr(pos, cur.Array().CopyFrom(v.Array()))
+		}
 		e.frame[sym.Slot] = v
 		return nil
 	}

@@ -1,9 +1,10 @@
 // Package conformance encodes the paper's Tables I, II and III — the
 // de-facto specification of parallel LOLCODE — as executable rows: one
 // small program per construct with its expected behaviour. The test suite
-// runs the full backend×fixture matrix (every row on every registered
-// execution engine), and cmd/lolbench regenerates the tables with pass/fail
-// status (experiments T1, T2, T3).
+// runs the full engine×fixture matrix (every row on every core.Backend,
+// through the same core.Program.Run path the server uses), and
+// cmd/lolbench regenerates the tables with pass/fail status (experiments
+// T1, T2, T3).
 package conformance
 
 import (
@@ -26,16 +27,15 @@ type Row struct {
 	WantCheck func(out string) error // alternative predicate for nondeterministic rows
 }
 
-// Run executes the row's program on the given execution engine and checks
-// output. Engines come from the backend registry (importing core registers
-// all of them); see Engines.
-func (r Row) Run(eng backend.Backend) error { return r.RunWith(eng, nil) }
+// Run executes the row's program on the given engine through
+// core.Program.Run, the path lolserv runs, and checks the output.
+func (r Row) Run(eng core.Backend) error { return r.RunWith(eng, nil) }
 
 // RunWith is Run with a config hook: mutate (when non-nil) edits the
 // row's standard config before the run, which is how the scheduler
 // differential forces Sched=workers while keeping the row's own NP,
 // seed, and grouped-output contract.
-func (r Row) RunWith(eng backend.Backend, mutate func(*backend.Config)) error {
+func (r Row) RunWith(eng core.Backend, mutate func(*backend.Config)) error {
 	np := r.NP
 	if np == 0 {
 		np = 1
@@ -55,7 +55,7 @@ func (r Row) RunWith(eng backend.Backend, mutate func(*backend.Config)) error {
 	if mutate != nil {
 		mutate(&cfg)
 	}
-	_, err = eng.Run(prog.Info, cfg)
+	_, err = prog.Run(core.RunConfig{Config: cfg, Backend: eng})
 	if err != nil {
 		return fmt.Errorf("run: %w", err)
 	}
@@ -68,23 +68,47 @@ func (r Row) RunWith(eng backend.Backend, mutate func(*backend.Config)) error {
 	return nil
 }
 
-// Engines returns every registered execution engine; the conformance
-// corpus is the engines × rows matrix.
-func Engines() []backend.Backend { return backend.All() }
+// Engines returns every execution engine, the interpreter (the oracle)
+// first; the conformance corpus is the engines × rows matrix.
+func Engines() []core.Backend { return core.Backends() }
 
 // All returns every conformance row: Tables I through III in paper
-// order, then the Savina-style concurrency corpus (Table S).
+// order, the Savina-style concurrency corpus (Table S), then the Table I
+// rows added since. New rows go last so that a row's index in All, which
+// names its matrix subtests, never changes.
 func All() []Row {
 	var rows []Row
-	rows = append(rows, TableI()...)
+	rows = append(rows, paperTableI()...)
 	rows = append(rows, TableII()...)
 	rows = append(rows, TableIII()...)
 	rows = append(rows, Savina()...)
-	return rows
+	return append(rows, tableIAddenda()...)
 }
 
-// TableI is the basic LOLCODE syntax of paper Table I.
-func TableI() []Row {
+// TableI is the basic LOLCODE syntax of paper Table I, then the rows
+// added to it since.
+func TableI() []Row { return append(paperTableI(), tableIAddenda()...) }
+
+// tableIAddenda pins Table I behaviour on which the engines once diverged.
+func tableIAddenda() []Row {
+	return []Row{
+		{
+			Table: "I", Construct: "SRS [string] R [array]",
+			Meaning: "assigning an array through SRS copies its contents",
+			Source: `HAI 1.2
+I HAS A a ITZ LOTZ A NUMBRS AN THAR IZ 2
+I HAS A b ITZ LOTZ A NUMBRS AN THAR IZ 2
+b'Z 0 R 5
+SRS "a" R b
+b'Z 0 R 7
+VISIBLE a'Z 0
+KTHXBYE`,
+			Want: "5\n",
+		},
+	}
+}
+
+func paperTableI() []Row {
 	return []Row{
 		{
 			Table: "I", Construct: "HAI [version] / KTHXBYE",

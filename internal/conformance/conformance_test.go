@@ -9,20 +9,15 @@ import (
 	"repro/internal/core"
 )
 
-// TestTables runs the full backend×fixture matrix: every row of the
-// paper's Tables I-III on every registered execution engine. These rows
-// are the specification: a failure here means an engine diverged from the
-// paper.
+// TestTables runs the full engine×fixture matrix: every row of the
+// paper's Tables I-III on every engine. These rows are the specification:
+// a failure here means an engine diverged from the paper.
 func TestTables(t *testing.T) {
-	engines := Engines()
-	if len(engines) < 3 {
-		t.Fatalf("expected at least 3 registered engines, got %v", backend.Names())
-	}
-	for _, eng := range engines {
+	for _, eng := range Engines() {
 		eng := eng
 		for i, row := range All() {
 			row := row
-			name := fmt.Sprintf("%s/Table%s/%02d_%s", eng.Name(), row.Table, i, shorten(row.Construct))
+			name := fmt.Sprintf("%s/Table%s/%02d_%s", eng, row.Table, i, shorten(row.Construct))
 			t.Run(name, func(t *testing.T) {
 				t.Parallel()
 				if err := row.Run(eng); err != nil {
@@ -61,23 +56,23 @@ func TestBackendMatrixIdenticalOutput(t *testing.T) {
 				errs := make([]error, len(engines))
 				for j, eng := range engines {
 					var out strings.Builder
-					_, errs[j] = eng.Run(prog.Info, backend.Config{
+					_, errs[j] = prog.Run(core.RunConfig{Backend: eng, Config: backend.Config{
 						NP:          np,
 						Seed:        2017,
 						Stdout:      &out,
 						Stdin:       strings.NewReader(row.Stdin),
 						GroupOutput: true,
-					})
+					}})
 					outs[j] = out.String()
 				}
 				for j := 1; j < len(engines); j++ {
 					if (errs[j] == nil) != (errs[0] == nil) {
 						t.Fatalf("%s and %s disagree on failure: %v vs %v",
-							engines[j].Name(), engines[0].Name(), errs[j], errs[0])
+							engines[j], engines[0], errs[j], errs[0])
 					}
 					if errs[0] == nil && outs[j] != outs[0] {
 						t.Errorf("%s output %q differs from %s output %q",
-							engines[j].Name(), outs[j], engines[0].Name(), outs[0])
+							engines[j], outs[j], engines[0], outs[0])
 					}
 				}
 			})

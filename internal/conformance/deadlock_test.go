@@ -44,17 +44,13 @@ KTHXBYE`},
 			t.Fatalf("%s: %v", c.name, err)
 		}
 		var want string
-		for _, eng := range []string{"interp", "vm", "compile"} {
-			e, err := backend.ByName(eng)
-			if err != nil {
-				t.Fatal(err)
-			}
+		for _, eng := range Engines() {
 			for _, mode := range []backend.SchedMode{backend.SchedGoroutines, backend.SchedWorkers} {
 				for _, alg := range []shmem.BarrierAlg{shmem.BarrierCentral, shmem.BarrierDissemination} {
 					run := fmt.Sprintf("%s/%s/%v/%v", c.name, eng, mode, alg)
 					ctx, cancel := context.WithTimeout(context.Background(), deadline)
 					start := time.Now()
-					_, err := e.Run(prog.Info, backend.Config{NP: 2, Sched: mode, Barrier: alg, Context: ctx})
+					_, err := prog.Run(core.RunConfig{Backend: eng, Config: backend.Config{NP: 2, Sched: mode, Barrier: alg, Context: ctx}})
 					took := time.Since(start)
 					cancel()
 					if !errors.Is(err, shmem.ErrDeadlock) {

@@ -11,7 +11,7 @@ import (
 )
 
 // TestProgenDifferentialNP is the cross-backend differential fuzz
-// harness: a progen-generated corpus runs on every registered engine at
+// harness: a progen-generated corpus runs on every engine at
 // NP 1, 4 and 8, and for each (seed, NP) all engines must agree on both
 // the exact grouped output bytes and the exit status. progen programs
 // are total and communication-free, so they are schedule-independent at
@@ -25,9 +25,6 @@ import (
 // full sweep runs in the regular test job.
 func TestProgenDifferentialNP(t *testing.T) {
 	engines := Engines()
-	if len(engines) < 3 {
-		t.Fatalf("expected at least 3 registered engines, got %v", backend.Names())
-	}
 	seeds, stmts := 90, 12
 	if testing.Short() {
 		seeds = 10
@@ -49,23 +46,23 @@ func TestProgenDifferentialNP(t *testing.T) {
 				errs := make([]error, len(engines))
 				for i, eng := range engines {
 					var out strings.Builder
-					_, errs[i] = eng.Run(prog.Info, backend.Config{
+					_, errs[i] = prog.Run(core.RunConfig{Backend: eng, Config: backend.Config{
 						NP:          np,
 						Seed:        2017,
 						Stdout:      &out,
 						GroupOutput: true,
-					})
+					}})
 					outs[i] = out.String()
 				}
 				for i := 1; i < len(engines); i++ {
 					if (errs[i] == nil) != (errs[0] == nil) {
 						t.Fatalf("%s and %s disagree on exit status: %v vs %v\n--- source ---\n%s",
-							engines[i].Name(), engines[0].Name(), errs[i], errs[0], src)
+							engines[i], engines[0], errs[i], errs[0], src)
 					}
 					if errs[0] == nil && outs[i] != outs[0] {
 						t.Fatalf("%s and %s disagree:\n%s: %q\n%s: %q\n--- source ---\n%s",
-							engines[i].Name(), engines[0].Name(),
-							engines[0].Name(), outs[0], engines[i].Name(), outs[i], src)
+							engines[i], engines[0],
+							engines[0], outs[0], engines[i], outs[i], src)
 					}
 				}
 				if errs[0] != nil {

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/backend"
+	"repro/internal/core"
 )
 
 // savinaFiles maps each Table S row to its twin program under
@@ -63,15 +64,11 @@ func TestSavinaSourcesMatchTestdata(t *testing.T) {
 // a real program, and the Want strings assert the exact same bytes the
 // goroutine-per-PE matrix (TestTables) checks.
 func TestSavinaWorkerScheduler(t *testing.T) {
-	eng, err := backend.ByName("vm")
-	if err != nil {
-		t.Fatal(err)
-	}
 	for _, row := range Savina() {
 		row := row
 		t.Run(shorten(row.Construct), func(t *testing.T) {
 			t.Parallel()
-			err := row.RunWith(eng, func(c *backend.Config) { c.Sched = backend.SchedWorkers })
+			err := row.RunWith(core.BackendVM, func(c *backend.Config) { c.Sched = backend.SchedWorkers })
 			if err != nil {
 				t.Errorf("%s: %v\n--- program ---\n%s", row.Construct, err, row.Source)
 			}

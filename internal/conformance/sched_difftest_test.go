@@ -46,10 +46,6 @@ func parallelize(src string) string {
 // mode would also pick workers); the full run adds NP=1024 on a reduced
 // seed set.
 func TestSchedDifferentialHighNP(t *testing.T) {
-	eng, err := backend.ByName("vm")
-	if err != nil {
-		t.Fatal(err)
-	}
 	const stmts = 12
 	type sweep struct {
 		np    int
@@ -75,13 +71,13 @@ func TestSchedDifferentialHighNP(t *testing.T) {
 				errs := make([]error, len(modes))
 				for i, m := range modes {
 					var out strings.Builder
-					_, errs[i] = eng.Run(prog.Info, backend.Config{
+					_, errs[i] = prog.Run(core.RunConfig{Backend: core.BackendVM, Config: backend.Config{
 						NP:          sw.np,
 						Seed:        2017,
 						Stdout:      &out,
 						GroupOutput: true,
 						Sched:       m,
-					})
+					}})
 					outs[i] = out.String()
 				}
 				if (errs[0] == nil) != (errs[1] == nil) {

@@ -1,8 +1,9 @@
 // Package core is the public face of the parallel-LOLCODE system: it ties
-// the frontend (lexer, parser, sema) to the execution backends — the
+// the frontend (lexer, parser, sema) to the execution engines — the
 // tree-walking interpreter, the bytecode VM, and the closure compiler —
-// over the shmem SPMD runtime. Importing core links in all three engines,
-// so every backend.Backend is registered and selectable by name.
+// over the shmem SPMD runtime. Its engine table is the only list of
+// engines: Backend names one, ParseBackend resolves a -backend flag, and
+// Program.Prepare/Run build and run an engine's cached prepared form.
 //
 // A minimal session, the library equivalent of the paper's
 // `lcc code.lol -o x && coprsh -np 16 ./x`:
@@ -23,28 +24,26 @@ import (
 	"repro/internal/interp"
 	"repro/internal/parser"
 	"repro/internal/sema"
-	"repro/internal/shmem"
 	"repro/internal/vm"
 )
 
 // Program is a parsed and semantically checked parallel-LOLCODE program.
-// The prepared form of each compiling backend is built once on first use
-// and cached; a Program is safe for concurrent Runs (internal/server runs
-// many jobs against one cached Program).
+// Each engine's prepared form is built once on first use and cached; a
+// Program is safe for concurrent Runs (internal/server runs many jobs
+// against one cached Program).
 type Program struct {
 	File   string
 	Source string
 	AST    *ast.Program
 	Info   *sema.Info
 
-	compileOnce sync.Once
-	compiled    *compile.Program // lazily built by the compile backend
-	compiledErr error
-	vmOnce      sync.Once
-	bytecode    *vm.Program // lazily built by the vm backend
-	bytecodeErr error
-	auditOnce   sync.Once
-	audit       backend.Audit // lazily computed determinism audit
+	prepared [len(engines)]struct {
+		once sync.Once
+		run  runFunc
+		err  error
+	}
+	auditOnce sync.Once
+	audit     backend.Audit // lazily computed determinism audit
 }
 
 // Parse parses and checks LOLCODE source. file is used in diagnostics.
@@ -69,9 +68,8 @@ func ParseFile(path string) (*Program, error) {
 	return Parse(path, string(src))
 }
 
-// Backend selects an execution strategy. The three values cover the
-// classic design space of the paper's compiler-vs-interpreter argument;
-// each corresponds to a registered backend.Backend of the same name.
+// Backend selects an execution engine. The three values cover the classic
+// design space of the paper's compiler-vs-interpreter argument.
 type Backend int
 
 const (
@@ -84,116 +82,119 @@ const (
 	// BackendVM compiles to slot-addressed bytecode and runs a stack VM per
 	// PE — the middle point between the two extremes.
 	BackendVM
+
+	// DefaultBackend is the engine an empty name selects: the production
+	// path. It is the zero Backend.
+	DefaultBackend = BackendCompile
 )
 
-func (b Backend) String() string {
-	switch b {
-	case BackendInterp:
-		return "interp"
-	case BackendVM:
-		return "vm"
-	}
-	return "compile"
+// runFunc runs one engine's prepared form of a program SPMD under cfg.
+type runFunc func(cfg backend.Config) (*backend.Result, error)
+
+// engines is the engine table, indexed by Backend: the name flags,
+// reports and metrics use, and how the engine prepares a checked program.
+// Preparation is the engine's one-time cost (bytecode, closures); the
+// interpreter has none.
+var engines = [...]struct {
+	name    string
+	prepare func(*sema.Info) (runFunc, error)
+}{
+	BackendCompile: {"compile", func(info *sema.Info) (runFunc, error) {
+		p, err := compile.Compile(info)
+		if err != nil {
+			return nil, err
+		}
+		return p.Run, nil
+	}},
+	BackendInterp: {"interp", func(info *sema.Info) (runFunc, error) {
+		return func(cfg backend.Config) (*backend.Result, error) { return interp.Run(info, cfg) }, nil
+	}},
+	BackendVM: {"vm", func(info *sema.Info) (runFunc, error) {
+		p, err := vm.Compile(info)
+		if err != nil {
+			return nil, err
+		}
+		return p.Run, nil
+	}},
 }
 
-// Backends lists every selectable backend, interpreter first (the paper's
-// baseline ordering for the E1 comparison).
+func (b Backend) valid() bool { return b >= 0 && int(b) < len(engines) }
+
+func (b Backend) String() string {
+	if !b.valid() {
+		return fmt.Sprintf("Backend(%d)", int(b))
+	}
+	return engines[b].name
+}
+
+// Backends lists every engine, the interpreter first: it is the oracle
+// the differential tests compare the other engines against, and the
+// baseline of the paper's E1 comparison.
 func Backends() []Backend { return []Backend{BackendInterp, BackendVM, BackendCompile} }
 
-// ParseBackend resolves a backend by name, matching each Backend's own
-// String() so the accepted set cannot drift from Backends(); the empty
-// string selects the compile backend, the production default.
+// BackendNames lists the engine names in Backends order.
+func BackendNames() []string {
+	names := make([]string, 0, len(engines))
+	for _, b := range Backends() {
+		names = append(names, b.String())
+	}
+	return names
+}
+
+// ParseBackend resolves an engine by name; the empty string selects
+// DefaultBackend.
 func ParseBackend(name string) (Backend, error) {
 	if name == "" {
-		return BackendCompile, nil
+		return DefaultBackend, nil
 	}
-	names := make([]string, 0, len(Backends()))
 	for _, b := range Backends() {
 		if b.String() == name {
 			return b, nil
 		}
-		names = append(names, b.String())
 	}
-	return BackendCompile, fmt.Errorf("core: unknown backend %q (want one of %v)", name, names)
+	return DefaultBackend, fmt.Errorf("core: unknown backend %q (want one of %v)", name, BackendNames())
 }
 
-// RunConfig is the execution configuration shared by every backend; it is
-// interp.Config with a backend selector.
+// RunConfig is the execution configuration shared by every engine plus
+// the engine selector.
 type RunConfig struct {
-	interp.Config
+	backend.Config
 	Backend Backend
 }
 
-// Run executes the program SPMD across cfg.NP processing elements. The
-// prepared form of each compiling backend is cached on the Program, so
-// repeated runs pay compilation once.
-func (p *Program) Run(cfg RunConfig) (*interp.Result, error) {
-	switch cfg.Backend {
-	case BackendInterp:
-		return interp.Run(p.Info, cfg.Config)
-	case BackendVM:
-		vp, err := p.Bytecode()
-		if err != nil {
-			return nil, err
-		}
-		return vp.Run(cfg.Config)
-	default:
-		cp, err := p.Compiled()
-		if err != nil {
-			return nil, err
-		}
-		return cp.Run(cfg.Config)
+// Run executes the program SPMD across cfg.NP processing elements on the
+// selected engine, preparing it first if no earlier Run or Prepare has.
+func (p *Program) Run(cfg RunConfig) (*backend.Result, error) {
+	run, err := p.prepare(cfg.Backend)
+	if err != nil {
+		return nil, err
 	}
+	return run(cfg.Config)
 }
 
-// Prepare builds the backend's prepared form ahead of Run — bytecode for
-// the VM, closures for the compiler, nothing for the interpreter. Run
-// does this lazily anyway; calling Prepare first makes the compilation
-// cost observable separately from execution (the server times it as its
-// own lifecycle stage). The prepared form is cached, so a second Prepare
-// or a following Run pays nothing.
+// Prepare builds the engine's prepared form ahead of Run — bytecode for
+// the VM, closures for the compiler, nothing for the interpreter. Calling
+// it first makes the compilation cost observable separately from
+// execution (the server times it as its own lifecycle stage). The
+// prepared form is cached, so a second Prepare or a following Run pays
+// nothing.
 func (p *Program) Prepare(b Backend) error {
-	switch b {
-	case BackendVM:
-		_, err := p.Bytecode()
-		return err
-	case BackendCompile:
-		_, err := p.Compiled()
-		return err
+	_, err := p.prepare(b)
+	return err
+}
+
+// prepare returns b's prepared form, building it exactly once per
+// Program even under concurrent callers.
+func (p *Program) prepare(b Backend) (runFunc, error) {
+	if !b.valid() {
+		return nil, fmt.Errorf("core: unknown backend %v", b)
 	}
-	return nil
-}
-
-// Compiled returns the closure-compiled form, building it on first use.
-// Safe for concurrent callers: compilation happens exactly once.
-func (p *Program) Compiled() (*compile.Program, error) {
-	p.compileOnce.Do(func() {
-		cp, err := compile.Compile(p.Info)
-		if err != nil {
-			p.compiledErr = fmt.Errorf("compile %s: %w", p.File, err)
-			return
+	slot := &p.prepared[b]
+	slot.once.Do(func() {
+		slot.run, slot.err = engines[b].prepare(p.Info)
+		if slot.err != nil {
+			slot.err = fmt.Errorf("%s: prepare %s: %w", engines[b].name, p.File, slot.err)
 		}
-		p.compiled = cp
 	})
-	return p.compiled, p.compiledErr
-}
-
-// Bytecode returns the bytecode-compiled form, building it on first use.
-// Safe for concurrent callers: compilation happens exactly once.
-func (p *Program) Bytecode() (*vm.Program, error) {
-	p.vmOnce.Do(func() {
-		vp, err := vm.Compile(p.Info)
-		if err != nil {
-			p.bytecodeErr = fmt.Errorf("vm-compile %s: %w", p.File, err)
-			return
-		}
-		p.bytecode = vp
-	})
-	return p.bytecode, p.bytecodeErr
-}
-
-// NewWorld builds a shmem world sized for this program, for callers that
-// want to inspect the world (stats, models) across a run.
-func (p *Program) NewWorld(cfg RunConfig) (*shmem.World, error) {
-	return interp.NewWorld(p.Info, cfg.Config)
+	return slot.run, slot.err
 }

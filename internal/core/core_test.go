@@ -277,3 +277,41 @@ func TestParseErrorsSurface(t *testing.T) {
 		t.Error("missing HAI should fail")
 	}
 }
+
+// TestParseBackend pins the engine table: every Backends name resolves
+// to its own engine and runs it, the empty name selects the compile
+// engine, an unknown name is rejected, and Backends lists each table
+// slot exactly once.
+func TestParseBackend(t *testing.T) {
+	prog, err := Parse("names.lol", "HAI 1.2\nVISIBLE SMOOSH \"PE \" AN ME MKAY\nKTHXBYE")
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := make(map[Backend]bool)
+	for _, b := range Backends() {
+		got, err := ParseBackend(b.String())
+		if err != nil || got != b {
+			t.Fatalf("ParseBackend(%q) = %v, %v; want %v", b.String(), got, err, b)
+		}
+		seen[b] = true
+		var out strings.Builder
+		if _, err := prog.Run(RunConfig{Backend: b, Config: interp.Config{NP: 3, Stdout: &out, GroupOutput: true}}); err != nil {
+			t.Fatalf("%v: %v", b, err)
+		}
+		if want := "PE 0\nPE 1\nPE 2\n"; out.String() != want {
+			t.Errorf("%v output = %q, want %q", b, out.String(), want)
+		}
+	}
+	if len(seen) != len(engines) {
+		t.Errorf("Backends() = %v covers %d of %d engines", Backends(), len(seen), len(engines))
+	}
+	if b, err := ParseBackend(""); err != nil || b != BackendCompile {
+		t.Errorf(`ParseBackend("") = %v, %v; want compile`, b, err)
+	}
+	if _, err := ParseBackend("jit"); err == nil {
+		t.Error(`ParseBackend("jit") accepted an unknown engine`)
+	}
+	if _, err := prog.Run(RunConfig{Backend: Backend(len(engines))}); err == nil {
+		t.Error("Run accepted an out-of-range Backend")
+	}
+}

@@ -79,8 +79,9 @@ func ExampleFormat() {
 	// KTHXBYE
 }
 
-// ExampleProgram_Compiled shows reusing a compiled program across runs.
-func ExampleProgram_Compiled() {
+// ExampleProgram_Prepare shows compiling once and reusing the prepared
+// program across runs.
+func ExampleProgram_Prepare() {
 	prog, err := core.Parse("sum.lol", `HAI 1.2
 I HAS A total ITZ A NUMBR
 IM IN YR l UPPIN YR i TIL BOTH SAEM i AN 5
@@ -91,13 +92,13 @@ KTHXBYE`)
 	if err != nil {
 		log.Fatal(err)
 	}
-	compiled, err := prog.Compiled()
-	if err != nil {
+	if err := prog.Prepare(core.BackendCompile); err != nil {
 		log.Fatal(err)
 	}
 	var out strings.Builder
 	for run := 0; run < 2; run++ {
-		if _, err := compiled.Run(interp.Config{NP: 1, Stdout: &out}); err != nil {
+		cfg := core.RunConfig{Backend: core.BackendCompile, Config: interp.Config{NP: 1, Stdout: &out}}
+		if _, err := prog.Run(cfg); err != nil {
 			log.Fatal(err)
 		}
 	}

@@ -11,6 +11,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/server"
 )
 
@@ -58,7 +59,7 @@ func Serve(w io.Writer, clients, requests, workers int) (*ServeMetrics, error) {
 		"HAI 1.2\nWE HAS A c ITZ A NUMBR AN ITZ ME\nHUGZ\nVISIBLE SUM OF c AN MAH FRENZ\nKTHXBYE",
 	}
 	nps := []int{1, 2, 2, 2}
-	backends := []string{"interp", "vm", "compile"}
+	backends := core.BackendNames()
 
 	var (
 		mu        sync.Mutex

@@ -12,6 +12,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/native"
 	"repro/internal/server"
 )
@@ -125,7 +126,7 @@ func ServePromote(w io.Writer, clients, requests, workers int) (*ServeMetrics, e
 		client := ts.Client()
 
 		post := func(seed int64) (server.RunResponse, time.Duration, error) {
-			req := server.RunRequest{Src: src, NP: np, Backend: "interp", Seed: seed}
+			req := server.RunRequest{Src: src, NP: np, Backend: core.BackendInterp.String(), Seed: seed}
 			body, merr := json.Marshal(req)
 			if merr != nil {
 				return server.RunResponse{}, 0, merr

@@ -11,6 +11,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/server"
 )
 
@@ -49,7 +50,7 @@ IM IN YR l UPPIN YR i TIL BOTH SAEM i AN %d
 IM OUTTA YR l
 VISIBLE x
 KTHXBYE`, 2000+1000*k)
-		progs[k] = server.RunRequest{Src: src, NP: 1 + k%3, Backend: "interp", Seed: 1}
+		progs[k] = server.RunRequest{Src: src, NP: 1 + k%3, Backend: core.BackendInterp.String(), Seed: 1}
 	}
 
 	// semantic is the replayable part of a response: what the acceptance

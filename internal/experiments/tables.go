@@ -16,6 +16,7 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"sort"
 
 	"repro/internal/conformance"
 )
@@ -34,7 +35,10 @@ func Tables(w io.Writer, which string) error {
 	case "III", "3":
 		rows = conformance.TableIII()
 	case "all", "":
+		// All lists rows added to Table I last; print each table's rows together
+		// ("I" < "II" < "III" < "S").
 		rows = conformance.All()
+		sort.SliceStable(rows, func(i, j int) bool { return rows[i].Table < rows[j].Table })
 	default:
 		return fmt.Errorf("experiments: unknown table %q (want I, II, III, or all)", which)
 	}
@@ -48,7 +52,7 @@ func Tables(w io.Writer, which string) error {
 			fmt.Fprintf(w, "\nTABLE %s — %s\n", cur, tableTitle(cur))
 			fmt.Fprintf(w, "%-55s", "construct")
 			for _, eng := range engines {
-				fmt.Fprintf(w, " %-8s", eng.Name())
+				fmt.Fprintf(w, " %-8s", eng)
 			}
 			fmt.Fprintln(w)
 		}

@@ -4,7 +4,10 @@
 //
 // The paper argues a compiler is "more flexible and efficient than an
 // interpreter"; this backend is the baseline side of that comparison (see
-// internal/compile for the compiled backend and the E1 experiment).
+// internal/compile for the compiled backend and the E1 experiment). It is
+// also the oracle: the differential suites hold the other engines to its
+// output and error text byte for byte. Run is its one entry point; callers
+// normally reach it through core.Program.Run with core.BackendInterp.
 package interp
 
 import (
@@ -19,58 +22,30 @@ import (
 	"repro/internal/value"
 )
 
-// Config, Result and RuntimeError are shared by every execution backend;
-// they live in internal/backend and are aliased here for the package's
-// historical callers.
-type (
-	Config       = backend.Config
-	Result       = backend.Result
-	RuntimeError = backend.RuntimeError
-)
-
-// engine implements backend.Backend.
-type engine struct{}
-
-func (engine) Name() string { return "interp" }
-
-func (engine) Run(info *sema.Info, cfg Config) (*Result, error) { return Run(info, cfg) }
-
-func init() { backend.Register(engine{}) }
+// Config is backend.Config, kept under this name for the benchmark
+// harness that imports it.
+type Config = backend.Config
 
 func rerr(pos token.Pos, err error) error {
 	if err == nil {
 		return nil
 	}
-	if _, ok := err.(*RuntimeError); ok {
+	if _, ok := err.(*backend.RuntimeError); ok {
 		return err
 	}
-	return &RuntimeError{Pos: pos, Err: err}
+	return &backend.RuntimeError{Pos: pos, Err: err}
 }
 
 func rerrf(pos token.Pos, format string, args ...any) error {
-	return &RuntimeError{Pos: pos, Err: fmt.Errorf(format, args...)}
+	return &backend.RuntimeError{Pos: pos, Err: fmt.Errorf(format, args...)}
 }
 
-// Run executes the checked program under cfg and returns run statistics.
-func Run(info *sema.Info, cfg Config) (*Result, error) {
-	if cfg.NP <= 0 {
-		cfg.NP = 1
-	}
-	world, err := NewWorld(info, cfg)
+// Run executes the checked program under cfg, one evaluator per PE.
+func Run(info *sema.Info, cfg Config) (*backend.Result, error) {
+	world, err := backend.NewWorld(info, &cfg)
 	if err != nil {
 		return nil, err
 	}
-	return RunWorld(info, cfg, world)
-}
-
-// NewWorld builds the shmem world implied by the program's symmetric
-// symbols; exposed so benchmarks can reuse worlds and inspect models.
-func NewWorld(info *sema.Info, cfg Config) (*shmem.World, error) {
-	return backend.NewWorld(info, cfg)
-}
-
-// RunWorld executes the program on an existing world.
-func RunWorld(info *sema.Info, cfg Config, world *shmem.World) (*Result, error) {
 	return backend.RunSPMD(cfg, world, func(pe *shmem.PE, io backend.PEIO) error {
 		ev := &evaluator{
 			info:  info,
@@ -108,9 +83,9 @@ type evaluator struct {
 	info  *sema.Info
 	pe    *shmem.PE
 	frame *frame
-	out   *PEWriter
-	errw  *PEWriter
-	stdin *SharedReader
+	out   *backend.PEWriter
+	errw  *backend.PEWriter
+	stdin *backend.SharedReader
 
 	// scope tracks the active name table for SRS and :{var} lookups.
 	scope *sema.Scope

@@ -4,11 +4,13 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"repro/internal/backend"
 )
 
 func TestOutputGroupedOrdersByPE(t *testing.T) {
 	var sink strings.Builder
-	out := NewOutput(&sink, true, 3)
+	out := backend.NewOutput(&sink, true, 3, 0)
 	var wg sync.WaitGroup
 	// PEs write interleaved; grouped output must still emit in rank order.
 	for pe := 0; pe < 3; pe++ {
@@ -29,7 +31,7 @@ func TestOutputGroupedOrdersByPE(t *testing.T) {
 
 func TestOutputLiveWritesThrough(t *testing.T) {
 	var sink strings.Builder
-	out := NewOutput(&sink, false, 2)
+	out := backend.NewOutput(&sink, false, 2, 0)
 	out.ForPE(1).WriteString("hi")
 	if sink.String() != "hi" {
 		t.Errorf("live output did not write through: %q", sink.String())
@@ -41,15 +43,15 @@ func TestOutputLiveWritesThrough(t *testing.T) {
 }
 
 func TestOutputNilWriterDiscards(t *testing.T) {
-	out := NewOutput(nil, false, 1)
+	out := backend.NewOutput(nil, false, 1, 0)
 	out.ForPE(0).WriteString("dropped") // must not panic
-	grouped := NewOutput(nil, true, 1)
+	grouped := backend.NewOutput(nil, true, 1, 0)
 	grouped.ForPE(0).WriteString("dropped")
 	grouped.Flush()
 }
 
 func TestSharedReaderHandsOutLines(t *testing.T) {
-	r := NewSharedReader(strings.NewReader("one\ntwo\n"))
+	r := backend.NewSharedReader(strings.NewReader("one\ntwo\n"))
 	a, ok := r.Line()
 	if !ok || a != "one" {
 		t.Fatalf("first line = %q, %v", a, ok)
@@ -64,7 +66,7 @@ func TestSharedReaderHandsOutLines(t *testing.T) {
 }
 
 func TestSharedReaderNilIsEmpty(t *testing.T) {
-	r := NewSharedReader(nil)
+	r := backend.NewSharedReader(nil)
 	if _, ok := r.Line(); ok {
 		t.Fatal("nil reader should be empty")
 	}

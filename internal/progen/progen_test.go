@@ -38,31 +38,28 @@ func TestGeneratedProgramsAreWellFormed(t *testing.T) {
 // exists for: every generated program is total, so all three engines must
 // produce byte-identical output at NP=1. Any divergence is an engine bug.
 func TestBackendsAgreeOnGeneratedPrograms(t *testing.T) {
-	engines := backend.All()
-	if len(engines) != 3 {
-		t.Fatalf("expected 3 registered engines, got %v", backend.Names())
-	}
+	engines := core.Backends()
 	for seed := int64(1); seed <= 25; seed++ {
 		src := progen.New(seed).Program(12)
 		prog, err := core.Parse("gen.lol", src)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		outputs := make(map[string]string, len(engines))
+		outputs := make(map[core.Backend]string, len(engines))
 		for _, eng := range engines {
 			var out strings.Builder
 			cfg := backend.Config{NP: 1, Seed: 7, Stdout: &out, GroupOutput: true}
-			if _, err := eng.Run(prog.Info, cfg); err != nil {
+			if _, err := prog.Run(core.RunConfig{Config: cfg, Backend: eng}); err != nil {
 				t.Fatalf("seed %d: %s: generated program died: %v\n--- source ---\n%s",
-					seed, eng.Name(), err, src)
+					seed, eng, err, src)
 			}
-			outputs[eng.Name()] = out.String()
+			outputs[eng] = out.String()
 		}
-		want := outputs[engines[0].Name()]
-		for name, got := range outputs {
+		want := outputs[engines[0]]
+		for eng, got := range outputs {
 			if got != want {
 				t.Errorf("seed %d: %s and %s disagree:\n%s: %q\n%s: %q\n--- source ---\n%s",
-					seed, engines[0].Name(), name, engines[0].Name(), want, name, got, src)
+					seed, engines[0], eng, engines[0], want, eng, got, src)
 			}
 		}
 	}

@@ -22,7 +22,7 @@ import (
 //	POST /v1/run        run a program (RunRequest JSON in, RunResponse JSON out)
 //	POST /v1/batch      run a list of jobs (BatchRequest in, NDJSON BatchItems out)
 //	GET  /v1/stats      server, cache, and queue counters
-//	GET  /v1/backends   registered engine names
+//	GET  /v1/backends   engine names (core.BackendNames)
 //	GET  /v1/healthz    liveness probe (JSON: status, versions, uptime)
 //	GET  /v1/debug/slow slowest recent requests with stage breakdowns
 //	GET  /metrics       Prometheus text exposition
@@ -284,11 +284,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleBackends(w http.ResponseWriter, r *http.Request) {
 	// Advertise exactly the set /v1/run accepts (core.ParseBackend), so
 	// the two cannot drift from each other.
-	names := make([]string, 0, len(core.Backends()))
-	for _, b := range core.Backends() {
-		names = append(names, b.String())
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"backends": names})
+	writeJSON(w, http.StatusOK, map[string]any{"backends": core.BackendNames()})
 }
 
 // handleHealthz answers the liveness probe with enough identity to tell

@@ -3,6 +3,7 @@ package server
 import (
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/obs"
 )
 
@@ -46,9 +47,11 @@ type serverMetrics struct {
 	// Job accounting (also mirrored into /v1/stats).
 	outcomes *obs.CounterVec // outcome
 
-	// Per-tier execution counters with the four children pre-resolved.
-	executions                                  *obs.CounterVec // tier
-	execInterp, execVM, execCompile, execNative *obs.Counter
+	// Per-tier execution counters with the children pre-resolved: one per
+	// in-process engine, indexed by core.Backend, plus the native tier.
+	executions *obs.CounterVec // tier
+	execEngine []*obs.Counter
+	execNative *obs.Counter
 
 	slow *obs.SlowRing
 }
@@ -79,9 +82,10 @@ func newServerMetrics(s *Server, slowWindow int) *serverMetrics {
 			"Jobs executed, by the engine tier that ran them.", "tier"),
 		slow: obs.NewSlowRing(slowWindow),
 	}
-	m.execInterp = m.executions.With("interp")
-	m.execVM = m.executions.With("vm")
-	m.execCompile = m.executions.With("compile")
+	m.execEngine = make([]*obs.Counter, len(core.Backends()))
+	for _, b := range core.Backends() {
+		m.execEngine[b] = m.executions.With(b.String())
+	}
 	m.execNative = m.executions.With("native")
 
 	reg.RegisterCounter("lolserv_jobs_run_total", "Jobs that reached an execution tier.", &s.jobsRun)

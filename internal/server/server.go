@@ -269,7 +269,8 @@ type RunRequest struct {
 	Src string `json:"src"`
 	// NP is the PE count; 0 means 1.
 	NP int `json:"np"`
-	// Backend selects the engine: "interp", "vm", or "compile" (default).
+	// Backend names the engine (see core.ParseBackend); empty selects
+	// core.DefaultBackend.
 	Backend string `json:"backend,omitempty"`
 	// Stdin feeds GIMMEH.
 	Stdin string `json:"stdin,omitempty"`
@@ -541,14 +542,7 @@ func (s *Server) execute(ctx context.Context, req RunRequest, key Key, coreBacke
 
 	s.jobsRun.Add(1)
 	s.inFlight.Add(1)
-	switch coreBackend {
-	case core.BackendInterp:
-		s.metrics.execInterp.Inc()
-	case core.BackendVM:
-		s.metrics.execVM.Inc()
-	default:
-		s.metrics.execCompile.Inc()
-	}
+	s.metrics.execEngine[coreBackend].Inc()
 	resp.Tier = coreBackend.String()
 	start := time.Now()
 	res, runErr := prog.Run(core.RunConfig{Config: cfg, Backend: coreBackend})
@@ -702,9 +696,9 @@ func (s *Server) Stats() Stats {
 	st := Stats{
 		Cache: s.cache.Stats(),
 		Tiers: TierStats{
-			Interp:  s.metrics.execInterp.Load(),
-			VM:      s.metrics.execVM.Load(),
-			Compile: s.metrics.execCompile.Load(),
+			Interp:  s.metrics.execEngine[core.BackendInterp].Load(),
+			VM:      s.metrics.execEngine[core.BackendVM].Load(),
+			Compile: s.metrics.execEngine[core.BackendCompile].Load(),
 			Native:  s.metrics.execNative.Load(),
 		},
 		Sched: SchedStats{

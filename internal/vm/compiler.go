@@ -305,7 +305,7 @@ func (c *compiler) decl(n *ast.Decl) error {
 			return err
 		}
 		if sym.Static {
-			c.emit(Instr{Op: OpCast, A: int(sym.Type), S: n.Name, Pos: n.Position})
+			c.emit(Instr{Op: OpCast, A: int(sym.Type), B: castInit, S: n.Name, Pos: n.Position})
 		}
 	} else {
 		zero := value.NOOB
@@ -545,7 +545,7 @@ func (c *compiler) storeVar(n *ast.VarRef) error {
 			return nil
 		}
 		if sym.Static {
-			c.emit(Instr{Op: OpCast, A: int(sym.Type), S: n.Name, Pos: n.Position})
+			c.emit(Instr{Op: OpCast, A: int(sym.Type), B: castAssign, S: n.Name, Pos: n.Position})
 		}
 		c.emit(Instr{Op: OpStoreHeap, A: sym.Heap, B: remoteFlag(n.Space), Pos: n.Position})
 		return nil

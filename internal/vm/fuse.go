@@ -98,7 +98,9 @@ func jumpSense(op Op) int {
 // matchFusion tries the patterns starting at code[i], longest first, and
 // returns the number of instructions consumed plus the replacement
 // (meaningful only when n > 1). Interior instructions of a candidate must
-// not be jump targets.
+// not be jump targets. A replacement carries the position of the
+// constituent that can fail, the binary operator where there is one, so
+// its errors read exactly like the interpreter's.
 func matchFusion(code []Instr, i int, isTarget []bool) (int, Instr) {
 	clear := func(n int) bool {
 		if i+n > len(code) {
@@ -121,28 +123,28 @@ func matchFusion(code []Instr, i int, isTarget []bool) (int, Instr) {
 					// The canonical loop head: slot ⊕ const (or slot ⊕ slot),
 					// branch on the comparison.
 					if i1.Op == OpConst {
-						return 4, Instr{Op: OpFusedSlotConstCmpJump, A: in0.A, B: i2.A | s, C: i1.A, D: i3.A, Pos: in0.Pos}
+						return 4, Instr{Op: OpFusedSlotConstCmpJump, A: in0.A, B: i2.A | s, C: i1.A, D: i3.A, Pos: i2.Pos}
 					}
 					if i1.Op == OpLoadSlot {
-						return 4, Instr{Op: OpFusedSlotSlotCmpJump, A: in0.A, B: i2.A | s, C: i1.A, D: i3.A, Pos: in0.Pos}
+						return 4, Instr{Op: OpFusedSlotSlotCmpJump, A: in0.A, B: i2.A | s, C: i1.A, D: i3.A, Pos: i2.Pos}
 					}
 				}
 				// Whole statements of the form `dst R x ⊕ y` with slot/const
 				// operands: no value-stack traffic at all.
 				if i3.Op == OpStoreSlot {
 					if i1.Op == OpConst {
-						return 4, Instr{Op: OpFusedSlotConstBinaryStore, A: in0.A, B: i2.A, C: i1.A, D: i3.A, Pos: in0.Pos}
+						return 4, Instr{Op: OpFusedSlotConstBinaryStore, A: in0.A, B: i2.A, C: i1.A, D: i3.A, Pos: i2.Pos}
 					}
 					if i1.Op == OpLoadSlot {
-						return 4, Instr{Op: OpFusedSlotSlotBinaryStore, A: in0.A, B: i2.A, C: i1.A, D: i3.A, Pos: in0.Pos}
+						return 4, Instr{Op: OpFusedSlotSlotBinaryStore, A: in0.A, B: i2.A, C: i1.A, D: i3.A, Pos: i2.Pos}
 					}
 				}
 				if i3.Op == OpStoreSlotCast {
 					if i1.Op == OpConst {
-						return 4, Instr{Op: OpFusedSlotConstBinaryStoreCast, A: in0.A, B: i2.A | i3.B<<fuseKindShift, C: i1.A, D: i3.A, S: i3.S, Pos: in0.Pos}
+						return 4, Instr{Op: OpFusedSlotConstBinaryStoreCast, A: in0.A, B: i2.A | i3.B<<fuseKindShift, C: i1.A, D: i3.A, S: i3.S, Pos: i2.Pos}
 					}
 					if i1.Op == OpLoadSlot {
-						return 4, Instr{Op: OpFusedSlotSlotBinaryStoreCast, A: in0.A, B: i2.A | i3.B<<fuseKindShift, C: i1.A, D: i3.A, S: i3.S, Pos: in0.Pos}
+						return 4, Instr{Op: OpFusedSlotSlotBinaryStoreCast, A: in0.A, B: i2.A | i3.B<<fuseKindShift, C: i1.A, D: i3.A, S: i3.S, Pos: i2.Pos}
 					}
 				}
 			}
@@ -151,17 +153,17 @@ func matchFusion(code []Instr, i int, isTarget []bool) (int, Instr) {
 			i1, i2 := &code[i+1], &code[i+2]
 			if i2.Op == OpBinary {
 				if i1.Op == OpConst {
-					return 3, Instr{Op: OpFusedSlotConstBinary, A: in0.A, B: i2.A, C: i1.A, Pos: in0.Pos}
+					return 3, Instr{Op: OpFusedSlotConstBinary, A: in0.A, B: i2.A, C: i1.A, Pos: i2.Pos}
 				}
 				if i1.Op == OpLoadSlot {
-					return 3, Instr{Op: OpFusedSlotSlotBinary, A: in0.A, B: i2.A, C: i1.A, Pos: in0.Pos}
+					return 3, Instr{Op: OpFusedSlotSlotBinary, A: in0.A, B: i2.A, C: i1.A, Pos: i2.Pos}
 				}
 			}
 		}
 		if clear(2) {
 			i1 := &code[i+1]
 			if i1.Op == OpBinary {
-				return 2, Instr{Op: OpFusedSlotBinary, A: in0.A, B: i1.A, Pos: in0.Pos}
+				return 2, Instr{Op: OpFusedSlotBinary, A: in0.A, B: i1.A, Pos: i1.Pos}
 			}
 			if s := jumpSense(i1.Op); s >= 0 {
 				// O RLY? and friends: load IT (or any slot), branch on it.
@@ -170,11 +172,14 @@ func matchFusion(code []Instr, i int, isTarget []bool) (int, Instr) {
 		}
 	case OpConst:
 		if clear(2) && code[i+1].Op == OpBinary {
-			return 2, Instr{Op: OpFusedConstBinary, A: in0.A, B: code[i+1].A, Pos: in0.Pos}
+			return 2, Instr{Op: OpFusedConstBinary, A: in0.A, B: code[i+1].A, Pos: code[i+1].Pos}
 		}
 	case OpLoadElemSlot:
 		if clear(2) && code[i+1].Op == OpBinary {
-			return 2, Instr{Op: OpFusedElemSlotBinary, A: in0.A, B: code[i+1].A, S: in0.S, Pos: in0.Pos}
+			// Both halves can fail: Pos stays the element read's, and C/D
+			// carry the binary's line and column.
+			bin := code[i+1].Pos
+			return 2, Instr{Op: OpFusedElemSlotBinary, A: in0.A, B: code[i+1].A, C: bin.Line, D: bin.Col, S: in0.S, Pos: in0.Pos}
 		}
 	case OpBinary:
 		if clear(2) {

@@ -42,7 +42,7 @@ const (
 	OpFusedSlotBinary          // tos = Binary(B, tos, slots[A]); w=2
 	OpFusedSlotConstBinary     // push Binary(B, slots[A], Consts[C]); w=3
 	OpFusedSlotSlotBinary      // push Binary(B, slots[A], slots[C]); w=3
-	OpFusedElemSlotBinary      // i=pop; tos = Binary(B, tos, slots[A][i]); S names the array; w=2
+	OpFusedElemSlotBinary      // i=pop; tos = Binary(B, tos, slots[A][i]); S names the array, C/D locate the binary; w=2
 	OpFusedBinaryStoreSlot     // y=pop, x=pop; slots[A] = Binary(B, x, y); w=2
 	OpFusedBinaryStoreSlotCast // y=pop, x=pop; slots[A] = cast(Binary(B, x, y), Kind(C)); S names the SRSLY var; w=2
 	OpFusedSlotJump            // jump to D when slots[A] truthiness matches B's sense; w=2
@@ -81,7 +81,7 @@ const (
 
 	// --- operators
 	OpUnary  // x=pop; push Unary(UnOp(A), x)
-	OpCast   // x=pop; push Cast(x, Kind(A)); S gives the error context
+	OpCast   // x=pop; push Cast(x, Kind(A)); B (castInit/castAssign) and S give the error context
 	OpTroof  // x=pop; push TROOF(x.ToTroof())
 	OpEqual  // y=pop, x=pop; push TROOF(Equal(x, y))  (WTF? case dispatch)
 	OpConcat // pop A values; push the YARN of their Displays (:{} interpolation)
@@ -217,6 +217,14 @@ const (
 	fuseOpMask     = 0xff
 	fuseJumpOnTrue = 1 << 8
 	fuseKindShift  = 9
+)
+
+// OpCast's B operand: the statement a static variable's cast guards, so
+// a failed cast reports it in the interpreter's words.
+const (
+	castExplicit = iota // MAEK and IS NOW A: the bare cast error
+	castInit            // I HAS A x ITZ SRSLY A T AN ITZ v
+	castAssign          // x R v on a SRSLY variable
 )
 
 // Instr is one decoded instruction. The VM trades the byte-packed encoding

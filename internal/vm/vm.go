@@ -27,23 +27,6 @@ import (
 	"repro/internal/value"
 )
 
-// engine implements backend.Backend. It recompiles on every Run; callers
-// that run one program repeatedly should hold a Program (core.Program
-// caches one per engine).
-type engine struct{}
-
-func (engine) Name() string { return "vm" }
-
-func (engine) Run(info *sema.Info, cfg backend.Config) (*backend.Result, error) {
-	p, err := Compile(info)
-	if err != nil {
-		return nil, err
-	}
-	return p.Run(cfg)
-}
-
-func init() { backend.Register(engine{}) }
-
 // Program is a compiled bytecode program, safe for concurrent runs.
 type Program struct {
 	info    *sema.Info
@@ -54,30 +37,22 @@ type Program struct {
 
 const maxCallDepth = 10_000
 
-// Run executes the program under cfg.
-func (p *Program) Run(cfg backend.Config) (*backend.Result, error) {
-	if cfg.NP <= 0 {
-		cfg.NP = 1
-	}
-	world, err := backend.NewWorld(p.info, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return p.RunWorld(cfg, world)
-}
-
 // vmYieldInterval is how many instructions a scheduled VM executes
 // before yielding its worker. Large enough that the check (one
 // predictable branch per dispatch) and the reschedule are noise, small
 // enough that a compute-bound PE cannot starve the bounded pool.
 const vmYieldInterval = 4096
 
-// RunWorld executes the program on an existing world, one VM per PE.
-// The VM keeps its whole execution state in the runner (frames sync ip
-// at call, return, and suspension points), so it is the engine that can
-// run under the worker scheduler: cfg.Sched selects goroutine-per-PE
-// (the differential oracle) or parked continuations on a bounded pool.
-func (p *Program) RunWorld(cfg backend.Config, world *shmem.World) (*backend.Result, error) {
+// Run executes the program under cfg, one VM per PE. The VM keeps its
+// whole execution state in the runner (frames sync ip at call, return,
+// and suspension points), so it is the engine that can run under the
+// worker scheduler: cfg.Sched selects goroutine-per-PE (the differential
+// oracle) or parked continuations on a bounded pool.
+func (p *Program) Run(cfg backend.Config) (*backend.Result, error) {
+	world, err := backend.NewWorld(p.info, &cfg)
+	if err != nil {
+		return nil, err
+	}
 	if cfg.UseWorkers(world.N()) {
 		return backend.RunSPMDScheduled(cfg, world, func(pe *shmem.PE, io backend.PEIO) func() error {
 			r := &runner{
@@ -94,6 +69,8 @@ func (p *Program) RunWorld(cfg backend.Config, world *shmem.World) (*backend.Res
 		})
 	}
 	return backend.RunSPMD(cfg, world, func(pe *shmem.PE, io backend.PEIO) error {
+		// A separate literal from the scheduled one keeps this runner on
+		// the PE goroutine's stack.
 		r := &runner{
 			prog:  p,
 			pe:    pe,
@@ -119,6 +96,18 @@ func rerr(pos token.Pos, err error) error {
 
 func rerrf(pos token.Pos, format string, args ...any) error {
 	return &backend.RuntimeError{Pos: pos, Err: fmt.Errorf(format, args...)}
+}
+
+// castError puts a failed OpCast in context: a static variable's
+// declaration or assignment, or (castExplicit) the bare error.
+func castError(in *Instr, err error) error {
+	switch in.B {
+	case castInit:
+		return fmt.Errorf("initializing SRSLY %s %s: %w", value.Kind(in.A), in.S, err)
+	case castAssign:
+		return fmt.Errorf("assigning to SRSLY %s %s: %w", value.Kind(in.A), in.S, err)
+	}
+	return err
 }
 
 // frame is one activation record: the chunk being executed, its slot
@@ -309,7 +298,7 @@ func (r *runner) run() error {
 			t := len(r.stack) - 1
 			v, err := binFast(value.BinOp(in.B), r.stack[t], y)
 			if err != nil {
-				return rerr(in.Pos, err)
+				return rerr(token.Pos{File: in.Pos.File, Line: in.C, Col: in.D}, err)
 			}
 			r.stack[t] = v
 		case OpFusedBinaryStoreSlot:
@@ -572,7 +561,7 @@ func (r *runner) run() error {
 		case OpCast:
 			v, err := value.Cast(r.pop(), value.Kind(in.A))
 			if err != nil {
-				return rerr(in.Pos, err)
+				return rerr(in.Pos, castError(in, err))
 			}
 			r.push(v)
 		case OpTroof:

@@ -211,14 +211,3 @@ KTHXBYE`)
 		t.Errorf("constant 5 interned %d times, want 1", fives)
 	}
 }
-
-// TestEngineRegistered checks the vm engine is selectable by name.
-func TestEngineRegistered(t *testing.T) {
-	eng, err := backend.ByName("vm")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if eng.Name() != "vm" {
-		t.Errorf("engine name = %q, want vm", eng.Name())
-	}
-}
